@@ -9,16 +9,20 @@
 //! and the heaviest of the three solutions is returned. By Lemma 3 the
 //! ratio is the **sum** `(4+ε) + (2+ε) + 3 = 9 + ε′`.
 //!
-//! The three sub-solvers run in parallel (scoped threads via
-//! [`sap_core::join3`]) — they work on disjoint task subsets.
+//! [`crate::driver::try_solve`] is the one implementation: it runs the
+//! three arms in parallel on disjoint task subsets, each on its own
+//! child budget and isolated against panics, and reports per-arm weights
+//! and the winner in its [`sap_core::SolveReport`]. [`solve`] is that
+//! driver under [`Budget::unlimited`].
 
 use lp_solver::SimplexOptions;
 use sap_core::budget::Budget;
-use sap_core::{classify_by_size, ClassifiedTasks, Instance, Ratio, SapSolution, TaskId};
+use sap_core::{parallel_map, Instance, Ratio, SapSolution, TaskId};
 
 use crate::baselines::greedy_sap_best;
-use crate::medium::{solve_medium, MediumParams};
-use crate::small::{try_solve_small, SmallAlgo};
+use crate::driver::try_solve;
+use crate::medium::MediumParams;
+use crate::small::SmallAlgo;
 
 /// Parameters of the combined algorithm.
 #[derive(Debug, Clone)]
@@ -38,11 +42,6 @@ pub struct SapParams {
     /// A too-small cap never corrupts the answer: a non-optimal LP routes
     /// the small arm to the greedy baseline (see [`crate::small`]).
     pub lp_max_iters: usize,
-    /// Eta-file refactorization cadence for the Strip-Pack LP solves
-    /// (`0` = the solver default). Any cadence yields the same solutions;
-    /// the knob trades eta-replay time against refactorization time and
-    /// exists for the LP scaling experiments.
-    pub lp_refactor_every: usize,
     /// Intra-arm fan-out width for the small arm's per-stratum LP solves
     /// and the medium arm's per-class Elevator sweeps (`0` = auto,
     /// `1` = sequential). Any width produces byte-identical solutions,
@@ -58,7 +57,6 @@ impl Default for SapParams {
             small_algo: SmallAlgo::LpRounding,
             medium: MediumParams::default(),
             lp_max_iters: 0,
-            lp_refactor_every: 0,
             workers: 0,
         }
     }
@@ -67,107 +65,49 @@ impl Default for SapParams {
 impl SapParams {
     /// The simplex options the small arm's LP solves run under.
     pub fn lp_options(&self) -> SimplexOptions {
-        SimplexOptions {
-            max_pivots: self.lp_max_iters,
-            refactor_every: self.lp_refactor_every,
-            ..SimplexOptions::default()
-        }
+        SimplexOptions { max_pivots: self.lp_max_iters, ..SimplexOptions::default() }
     }
 }
 
-/// Per-regime breakdown of a [`solve_with_stats`] run.
-#[derive(Debug, Clone)]
-pub struct CombinedStats {
-    /// The three-way task partition.
-    pub classified: ClassifiedTasks,
-    /// Weight of the small-task solution.
-    pub small_weight: u64,
-    /// Weight of the medium-task solution.
-    pub medium_weight: u64,
-    /// Weight of the large-task solution.
-    pub large_weight: u64,
-    /// Which regime's solution was returned (`"small"`, `"medium"`,
-    /// `"large"`).
-    pub winner: &'static str,
-}
-
-/// Runs the combined `(9+ε)` algorithm on the tasks `ids`.
+/// Runs the combined `(9+ε)` algorithm on the tasks `ids`: the driver
+/// ([`crate::driver::try_solve`]) under an unlimited budget, without its
+/// report.
 pub fn solve(instance: &Instance, ids: &[TaskId], params: &SapParams) -> SapSolution {
-    let sol = solve_with_stats(instance, ids, params).0;
+    // An unlimited budget cannot trip and the driver's terminal greedy
+    // stage cannot fail, so the Err arm is dead; greedy keeps this total
+    // without a panic path.
+    let sol = match try_solve(instance, ids, params, &Budget::unlimited()) {
+        Ok((sol, _)) => sol,
+        Err(_) => greedy_sap_best(instance, ids),
+    };
     debug_assert!(sol.validate(instance).is_ok());
     sol
 }
 
-/// Runs the combined algorithm and reports the per-regime breakdown.
-pub fn solve_with_stats(
-    instance: &Instance,
-    ids: &[TaskId],
-    params: &SapParams,
-) -> (SapSolution, CombinedStats) {
-    let (sub, _map_identity) = {
-        // classify_by_size works on whole instances; restrict first.
-        (instance, ids)
-    };
-    let mut classified = ClassifiedTasks::default();
-    {
-        let all = classify_by_size(sub, params.delta_small, params.delta_large);
-        let wanted: std::collections::HashSet<TaskId> = ids.iter().copied().collect();
-        classified.small = all.small.into_iter().filter(|j| wanted.contains(j)).collect();
-        classified.medium = all.medium.into_iter().filter(|j| wanted.contains(j)).collect();
-        classified.large = all.large.into_iter().filter(|j| wanted.contains(j)).collect();
-    }
-
-    let (small_sol, medium_sol, large_sol) = sap_core::join3(
-        || {
-            // Unlimited budget: the Err arm is dead; the pivot cap
-            // (`lp_max_iters`) still applies and degrades to greedy.
-            match try_solve_small(
-                instance,
-                &classified.small,
-                params.small_algo,
-                params.lp_options(),
-                params.workers,
-                &Budget::unlimited(),
-            ) {
-                Ok(run) => run.solution,
-                Err(_) => greedy_sap_best(instance, &classified.small),
-            }
-        },
-        || solve_medium(instance, &classified.medium, params.medium),
-        || {
-            crate::large::solve_large(instance, &classified.large)
-                .unwrap_or_else(|| greedy_sap_best(instance, &classified.large))
-        },
-    );
-
-    let sw = small_sol.weight(instance);
-    let mw = medium_sol.weight(instance);
-    let lw = large_sol.weight(instance);
-    let (sol, winner) = if sw >= mw && sw >= lw {
-        (small_sol, "small")
-    } else if mw >= lw {
-        (medium_sol, "medium")
-    } else {
-        (large_sol, "large")
-    };
-    debug_assert!(sol.validate(instance).is_ok());
-    (
-        sol,
-        CombinedStats {
-            classified,
-            small_weight: sw,
-            medium_weight: mw,
-            large_weight: lw,
-            winner,
-        },
-    )
+/// Runs the combined algorithm over a parameter grid in parallel and
+/// returns `(params, weight)` for each point — the engine behind the
+/// ablation experiments.
+pub fn sweep_params(instance: &Instance, grid: &[SapParams]) -> Vec<(SapParams, u64)> {
+    let ids = instance.all_ids();
+    parallel_map(grid, |p| {
+        let sol = solve(instance, &ids, p);
+        (p.clone(), sol.weight(instance))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exact::{solve_exact_sap, ExactConfig};
-    use sap_core::{PathNetwork, Task};
+    use sap_core::{classify_by_size, PathNetwork, SolveReport, Task};
+
+    fn solve_with_report(inst: &Instance, params: &SapParams) -> (SapSolution, SolveReport) {
+        try_solve(inst, &inst.all_ids(), params, &Budget::unlimited()).unwrap()
+    }
+
+    fn arm_weight(report: &SolveReport, arm: &str) -> u64 {
+        report.arm(arm).unwrap().weight
+    }
 
     fn mixed_instance(seed: u64, m: usize, n: usize) -> Instance {
         let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -194,19 +134,15 @@ mod tests {
     fn combined_is_feasible_on_mixed_workloads() {
         for seed in 0..6 {
             let inst = mixed_instance(seed, 6, 30);
-            let (sol, stats) = solve_with_stats(&inst, &inst.all_ids(), &SapParams::default());
+            let params = SapParams::default();
+            let (sol, report) = solve_with_report(&inst, &params);
             sol.validate(&inst).unwrap();
             assert!(!sol.is_empty(), "seed {seed}");
-            assert_eq!(
-                stats.classified.len(),
-                inst.num_tasks(),
-                "classification covers everything"
-            );
+            let classified = classify_by_size(&inst, params.delta_small, params.delta_large);
+            assert_eq!(classified.len(), inst.num_tasks(), "classification covers everything");
             let w = sol.weight(&inst);
-            assert_eq!(
-                w,
-                stats.small_weight.max(stats.medium_weight).max(stats.large_weight)
-            );
+            let arms = ["small", "medium", "large"].map(|arm| arm_weight(&report, arm));
+            assert_eq!(w, arms[0].max(arms[1]).max(arms[2]));
         }
     }
 
@@ -217,7 +153,8 @@ mod tests {
         for seed in 0..6 {
             let inst = mixed_instance(seed + 30, 5, 11);
             let ids = inst.all_ids();
-            let opt = solve_exact_sap(&inst, &ids, ExactConfig::default())
+            let opt = solve_exact_sap(&inst, &ids, ExactConfig::default(), &Budget::unlimited())
+                .unwrap()
                 .expect("budget")
                 .weight(&inst);
             let sol = solve(&inst, &ids, &SapParams::default());
@@ -231,12 +168,11 @@ mod tests {
         // The returned weight is ≥ each regime's own solution weight and
         // ≥ greedy on the full set / 3 (sanity floor, not the theorem).
         let inst = mixed_instance(77, 8, 40);
-        let ids = inst.all_ids();
-        let (sol, stats) = solve_with_stats(&inst, &ids, &SapParams::default());
+        let (sol, report) = solve_with_report(&inst, &SapParams::default());
         let w = sol.weight(&inst);
-        assert!(w >= stats.small_weight);
-        assert!(w >= stats.medium_weight);
-        assert!(w >= stats.large_weight);
+        for arm in ["small", "medium", "large"] {
+            assert!(w >= arm_weight(&report, arm), "{arm}");
+        }
     }
 
     #[test]
@@ -253,5 +189,20 @@ mod tests {
     fn empty_input() {
         let inst = mixed_instance(1, 4, 6);
         assert!(solve(&inst, &[], &SapParams::default()).is_empty());
+    }
+
+    #[test]
+    fn sweep_covers_grid() {
+        let inst = mixed_instance(9, 6, 20);
+        let grid: Vec<SapParams> = [4u64, 16, 64]
+            .into_iter()
+            .map(|d| SapParams { delta_small: Ratio::new(1, d), ..Default::default() })
+            .collect();
+        let results = sweep_params(&inst, &grid);
+        assert_eq!(results.len(), 3);
+        for (p, w) in &results {
+            assert!(*w > 0);
+            assert_eq!(*w, solve(&inst, &inst.all_ids(), p).weight(&inst));
+        }
     }
 }

@@ -37,44 +37,21 @@ struct Search<'a> {
     best_order: Vec<TaskId>,
     max_states: usize,
     exhausted: bool,
-    budget: Option<&'a Budget>,
+    budget: &'a Budget,
     budget_tripped: bool,
 }
 
-/// Solves SAP exactly over `ids` (at most 64 tasks). Returns `None` when
-/// the state budget is exhausted.
+/// Solves SAP exactly over `ids` (at most 64 tasks), charging one
+/// `DpRow` work unit per expanded search state against `budget` (pass
+/// [`Budget::unlimited`] for no limit).
+///
+/// `Err(BudgetExhausted)` is the cooperative budget tripping; `Ok(None)`
+/// is the solver's own memo-state budget giving up.
 pub fn solve_exact_sap(
     instance: &Instance,
     ids: &[TaskId],
     config: ExactConfig,
-) -> Option<SapSolution> {
-    // Without a cooperative budget the only Err source is absent.
-    let sol = run_exact(instance, ids, config, None).unwrap_or(None);
-    debug_assert!(sol.as_ref().map_or(true, |s| s.validate(instance).is_ok()));
-    sol
-}
-
-/// Budget-aware variant of [`solve_exact_sap`]: charges one `DpRow` work
-/// unit per expanded search state against `budget`.
-///
-/// `Err(BudgetExhausted)` is the cooperative budget tripping; `Ok(None)`
-/// is the solver's own memo-state budget giving up.
-pub fn solve_exact_sap_budgeted(
-    instance: &Instance,
-    ids: &[TaskId],
-    config: ExactConfig,
     budget: &Budget,
-) -> SapResult<Option<SapSolution>> {
-    let r = run_exact(instance, ids, config, Some(budget));
-    debug_assert!(!matches!(&r, Ok(Some(s)) if s.validate(instance).is_err()));
-    r
-}
-
-fn run_exact(
-    instance: &Instance,
-    ids: &[TaskId],
-    config: ExactConfig,
-    budget: Option<&Budget>,
 ) -> SapResult<Option<SapSolution>> {
     assert!(ids.len() <= 64, "exact solver limited to 64 tasks");
     let mut s = Search {
@@ -111,15 +88,13 @@ impl Search<'_> {
         if self.exhausted {
             return;
         }
-        if let Some(b) = self.budget {
-            b.tick(CheckpointClass::DpRow, 1);
-            if b.checkpoint(CheckpointClass::DpRow, 1).is_err() {
-                // Unwind the whole search; the caller maps this to
-                // Err(BudgetExhausted), so the partial best is never used.
-                self.exhausted = true;
-                self.budget_tripped = true;
-                return;
-            }
+        self.budget.tick(CheckpointClass::DpRow, 1);
+        if self.budget.checkpoint(CheckpointClass::DpRow, 1).is_err() {
+            // Unwind the whole search; the caller maps this to
+            // Err(BudgetExhausted), so the partial best is never used.
+            self.exhausted = true;
+            self.budget_tripped = true;
+            return;
         }
         if weight > self.best_weight {
             self.best_weight = weight;
@@ -180,11 +155,11 @@ pub fn is_sap_feasible(instance: &Instance, ids: &[TaskId]) -> bool {
         // lint:allow(p1) — same spans and demands over the same network as the
         // validated input instance, so revalidation cannot fail.
         .expect("restriction of a valid instance");
-    match solve_exact_sap(&unit, &unit.all_ids(), ExactConfig::default()) {
-        Some(sol) => sol.len() == ids.len(),
+    match solve_exact_sap(&unit, &unit.all_ids(), ExactConfig::default(), &Budget::unlimited()) {
+        Ok(Some(sol)) => sol.len() == ids.len(),
         // lint:allow(p1) — a silently wrong yes/no would corrupt every
         // downstream theorem check; exhausting the probe budget is misuse.
-        None => panic!("exact feasibility check exhausted its state budget"),
+        Ok(None) | Err(_) => panic!("exact feasibility check exhausted its state budget"),
     }
 }
 
@@ -194,7 +169,8 @@ mod tests {
     use sap_core::{PathNetwork, Task};
 
     fn exact(inst: &Instance) -> u64 {
-        solve_exact_sap(inst, &inst.all_ids(), ExactConfig::default())
+        solve_exact_sap(inst, &inst.all_ids(), ExactConfig::default(), &Budget::unlimited())
+            .unwrap()
             .expect("budget")
             .weight(inst)
     }

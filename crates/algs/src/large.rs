@@ -6,33 +6,25 @@
 //! residual height `ℓ(j)`), and by the `(2k−1)`-degeneracy colouring
 //! argument (Lemmas 16–17) its weight is at least `OPT_SAP / (2k−1)`.
 
-use rectpack::{max_weight_packing, max_weight_packing_budgeted, MwisConfig};
+use rectpack::{max_weight_packing, MwisConfig};
 use sap_core::budget::Budget;
 use sap_core::error::SapResult;
 use sap_core::{Instance, SapSolution, TaskId};
 
 /// Solves the large-task sub-problem: an optimal rectangle packing of
-/// `R(ids)`, returned as a SAP solution. Returns `None` if the exact
-/// rectangle solver exhausts its state budget (see [`MwisConfig`]).
-pub fn solve_large(instance: &Instance, ids: &[TaskId]) -> Option<SapSolution> {
-    let chosen = max_weight_packing(instance, ids, MwisConfig::default())?;
-    let sol = rectpack::reduction::packing_to_sap(instance, &chosen);
-    debug_assert!(sol.validate(instance).is_ok());
-    Some(sol)
-}
-
-/// Budget-aware variant of [`solve_large`]: the rectangle sweep is charged
-/// against `budget` (`PackSweep` units).
+/// `R(ids)`, returned as a SAP solution. The rectangle sweep is charged
+/// against `budget` (`PackSweep` units; pass [`Budget::unlimited`] for no
+/// limit).
 ///
 /// `Err(BudgetExhausted)` is the cooperative budget tripping; `Ok(None)`
-/// is the rectangle solver's own memo-state budget giving up (the caller
-/// substitutes the greedy baseline, as [`crate::combined`] always has).
+/// is the rectangle solver's own memo-state budget giving up (see
+/// [`MwisConfig`]; the driver substitutes the greedy baseline).
 pub fn try_solve_large(
     instance: &Instance,
     ids: &[TaskId],
     budget: &Budget,
 ) -> SapResult<Option<SapSolution>> {
-    let Some(chosen) = max_weight_packing_budgeted(instance, ids, MwisConfig::default(), budget)?
+    let Some(chosen) = max_weight_packing(instance, ids, MwisConfig::default(), budget)?
     else {
         return Ok(None);
     };
@@ -46,6 +38,17 @@ mod tests {
     use super::*;
     use crate::exact::{solve_exact_sap, ExactConfig};
     use sap_core::{PathNetwork, Task};
+
+    fn solve_large(inst: &Instance, ids: &[TaskId]) -> Option<SapSolution> {
+        try_solve_large(inst, ids, &Budget::unlimited()).unwrap()
+    }
+
+    fn exact(inst: &Instance, ids: &[TaskId]) -> u64 {
+        solve_exact_sap(inst, ids, ExactConfig::default(), &Budget::unlimited())
+            .unwrap()
+            .expect("budget")
+            .weight(inst)
+    }
 
     fn large_instance(seed: u64, m: usize, n: usize, k: u64) -> Instance {
         let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -83,9 +86,7 @@ mod tests {
         for seed in 0..10 {
             let inst = large_instance(seed + 40, 5, 11, 2);
             let ids = inst.all_ids();
-            let opt = solve_exact_sap(&inst, &ids, ExactConfig::default())
-                .expect("budget")
-                .weight(&inst);
+            let opt = exact(&inst, &ids);
             let sol = solve_large(&inst, &ids).expect("budget").weight(&inst);
             assert!(3 * sol >= opt, "seed {seed}: packing {sol} vs opt {opt}");
         }
@@ -102,9 +103,7 @@ mod tests {
                 assert_eq!(inst.demand(j), inst.bottleneck(j));
             }
             let ids = inst.all_ids();
-            let opt = solve_exact_sap(&inst, &ids, ExactConfig::default())
-                .expect("budget")
-                .weight(&inst);
+            let opt = exact(&inst, &ids);
             let sol = solve_large(&inst, &ids).expect("budget").weight(&inst);
             assert_eq!(sol, opt, "seed {seed}");
         }

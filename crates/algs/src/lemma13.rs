@@ -44,40 +44,16 @@ impl Default for Lemma13Config {
 type State = Vec<(TaskId, u64)>;
 
 /// Computes an optimal SAP solution over `ids` by the Lemma 13 proper-pair
-/// DP. Returns `None` if a budget is exhausted.
+/// DP, charging `DpRow` work units against `budget` — one per expanded DP
+/// state (pass [`Budget::unlimited`] for no limit).
+///
+/// `Err(BudgetExhausted)` is the cooperative budget tripping; `Ok(None)`
+/// is the DP's own state/height budget giving up.
 pub fn solve_lemma13_dp(
     instance: &Instance,
     ids: &[TaskId],
     config: Lemma13Config,
-) -> Option<SapSolution> {
-    // Without a cooperative budget the only Err source is absent.
-    let sol = run_lemma13(instance, ids, config, None).unwrap_or(None);
-    debug_assert!(sol.as_ref().map_or(true, |s| s.validate(instance).is_ok()));
-    sol
-}
-
-/// Budget-aware variant of [`solve_lemma13_dp`]: charges `DpRow` work
-/// units against `budget` — one per edge row (weighted by the frontier
-/// size) and one per expanded DP state.
-///
-/// `Err(BudgetExhausted)` is the cooperative budget tripping; `Ok(None)`
-/// is the DP's own state/height budget giving up.
-pub fn solve_lemma13_dp_budgeted(
-    instance: &Instance,
-    ids: &[TaskId],
-    config: Lemma13Config,
     budget: &Budget,
-) -> SapResult<Option<SapSolution>> {
-    let r = run_lemma13(instance, ids, config, Some(budget));
-    debug_assert!(!matches!(&r, Ok(Some(s)) if s.validate(instance).is_err()));
-    r
-}
-
-fn run_lemma13(
-    instance: &Instance,
-    ids: &[TaskId],
-    config: Lemma13Config,
-    budget: Option<&Budget>,
 ) -> SapResult<Option<SapSolution>> {
     if ids.is_empty() {
         return Ok(Some(SapSolution::empty()));
@@ -127,10 +103,8 @@ fn run_lemma13(
     for e in 0..m {
         let mut cur: BTreeMap<State, (u64, State, Vec<Placement>)> = BTreeMap::new();
         for (state, (w, _, _)) in &prev {
-            if let Some(b) = budget {
-                b.tick(CheckpointClass::DpRow, 1);
-                b.checkpoint(CheckpointClass::DpRow, 1)?;
-            }
+            budget.tick(CheckpointClass::DpRow, 1);
+            budget.checkpoint(CheckpointClass::DpRow, 1)?;
             // Tasks leaving before edge e keep nothing; survivors persist.
             let survivors: State = state
                 .iter()
@@ -199,9 +173,7 @@ fn run_lemma13(
         }
     }
 
-    if let Some(b) = budget {
-        b.telemetry().gauge_max("dp.states", total_states as u64);
-    }
+    budget.telemetry().gauge_max("dp.states", total_states as u64);
 
     // Best terminal state and traceback.
     let Some((best_state, _)) = prev
@@ -231,6 +203,11 @@ mod tests {
     use super::*;
     use crate::exact::{solve_exact_sap, ExactConfig};
     use sap_core::{PathNetwork, Task};
+
+    /// Unbudgeted DP run.
+    fn dp(inst: &Instance, ids: &[TaskId], config: Lemma13Config) -> Option<SapSolution> {
+        solve_lemma13_dp(inst, ids, config, &Budget::unlimited()).unwrap()
+    }
 
     fn random_instance(seed: u64, m: usize, n: usize, delta_inv_max: u64) -> Instance {
         let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -276,11 +253,9 @@ mod tests {
                 .collect();
             let inst = Instance::new(net, tasks).unwrap();
             let ids = inst.all_ids();
-            let first = solve_lemma13_dp(&inst, &ids, Lemma13Config::default())
-                .expect("budget");
+            let first = dp(&inst, &ids, Lemma13Config::default()).expect("budget");
             for round in 0..4 {
-                let again = solve_lemma13_dp(&inst, &ids, Lemma13Config::default())
-                    .expect("budget");
+                let again = dp(&inst, &ids, Lemma13Config::default()).expect("budget");
                 assert_eq!(
                     first.placements, again.placements,
                     "seed {seed} round {round}"
@@ -294,11 +269,12 @@ mod tests {
         for seed in 0..12 {
             let inst = random_instance(seed, 5, 9, 4);
             let ids = inst.all_ids();
-            let dp = solve_lemma13_dp(&inst, &ids, Lemma13Config::default())
-                .expect("budget");
-            dp.validate(&inst).unwrap();
-            let search = solve_exact_sap(&inst, &ids, ExactConfig::default()).unwrap();
-            assert_eq!(dp.weight(&inst), search.weight(&inst), "seed {seed}");
+            let sol = dp(&inst, &ids, Lemma13Config::default()).expect("budget");
+            sol.validate(&inst).unwrap();
+            let search = solve_exact_sap(&inst, &ids, ExactConfig::default(), &Budget::unlimited())
+                .unwrap()
+                .unwrap();
+            assert_eq!(sol.weight(&inst), search.weight(&inst), "seed {seed}");
         }
     }
 
@@ -311,8 +287,8 @@ mod tests {
             Task::of(0, 1, 5, 50),
         ];
         let inst = Instance::new(net, tasks).unwrap();
-        let dp = solve_lemma13_dp(&inst, &inst.all_ids(), Lemma13Config::default()).unwrap();
-        assert_eq!(dp.weight(&inst), 100);
+        let sol = dp(&inst, &inst.all_ids(), Lemma13Config::default()).unwrap();
+        assert_eq!(sol.weight(&inst), 100);
     }
 
     #[test]
@@ -326,22 +302,20 @@ mod tests {
             Task::of(0, 1, 5, 10), // forces the long task up on edge 0
         ];
         let inst = Instance::new(net, tasks).unwrap();
-        let dp = solve_lemma13_dp(&inst, &inst.all_ids(), Lemma13Config::default()).unwrap();
+        let sol = dp(&inst, &inst.all_ids(), Lemma13Config::default()).unwrap();
         // All three fit: task 2 at [0,5), task 0 at [5,8), task 1 at [0,5).
-        assert_eq!(dp.weight(&inst), 30);
-        assert_eq!(dp.len(), 3);
+        assert_eq!(sol.weight(&inst), 30);
+        assert_eq!(sol.len(), 3);
     }
 
     #[test]
     fn empty_and_budget() {
         let inst = random_instance(0, 3, 4, 4);
-        assert!(solve_lemma13_dp(&inst, &[], Lemma13Config::default())
-            .unwrap()
-            .is_empty());
+        assert!(dp(&inst, &[], Lemma13Config::default()).unwrap().is_empty());
         // A tiny state budget must be reported as exhaustion, not wrong
         // answers.
         let tight = Lemma13Config { max_states: 1, max_heights: 4096 };
-        let r = solve_lemma13_dp(&inst, &inst.all_ids(), tight);
+        let r = dp(&inst, &inst.all_ids(), tight);
         assert!(r.is_none() || r.unwrap().validate(&inst).is_ok());
     }
 }

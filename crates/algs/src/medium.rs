@@ -36,8 +36,8 @@ use sap_core::{
 };
 
 use crate::baselines::greedy_sap_best;
-use crate::exact::{solve_exact_sap_budgeted, ExactConfig};
-use crate::lemma13::{solve_lemma13_dp_budgeted, Lemma13Config};
+use crate::exact::{solve_exact_sap, ExactConfig};
+use crate::lemma13::{solve_lemma13_dp, Lemma13Config};
 
 /// Which optimal sub-solver Elevator uses per class (both are exact; they
 /// cross-validate each other in the test-suite).
@@ -89,7 +89,7 @@ impl MediumParams {
     }
 }
 
-/// Statistics of a [`solve_medium_with_stats`] run.
+/// Statistics of a [`try_solve_medium_with_stats`] run.
 #[derive(Debug, Clone, Default)]
 pub struct MediumStats {
     /// Number of non-empty classes solved.
@@ -100,32 +100,10 @@ pub struct MediumStats {
     pub best_residue: u32,
 }
 
-/// Runs AlmostUniform on the medium tasks `ids`. See [`solve_medium_with_stats`].
-pub fn solve_medium(instance: &Instance, ids: &[TaskId], params: MediumParams) -> SapSolution {
-    let sol = solve_medium_with_stats(instance, ids, params).0;
-    debug_assert!(sol.validate(instance).is_ok());
-    sol
-}
-
-/// Runs AlmostUniform and also reports solver statistics.
-pub fn solve_medium_with_stats(
-    instance: &Instance,
-    ids: &[TaskId],
-    params: MediumParams,
-) -> (SapSolution, MediumStats) {
-    // An unlimited budget cannot trip, so the Err arm is dead; greedy
-    // keeps the wrapper total without a panic path.
-    let out = match try_solve_medium_with_stats(instance, ids, params, 0, &Budget::unlimited()) {
-        Ok(x) => x,
-        Err(_) => (greedy_sap_best(instance, ids), MediumStats::default()),
-    };
-    debug_assert!(out.0.validate(instance).is_ok());
-    out
-}
-
-/// Budget-aware fallible AlmostUniform: the per-class exact solvers are
-/// charged against `budget` (`DpRow` units per expanded state, plus one
-/// `Driver` unit per class). The classes fan out through
+/// Runs AlmostUniform on the medium tasks `ids` and reports solver
+/// statistics. The per-class exact solvers are charged against `budget`
+/// (`DpRow` units per expanded state, plus one `Driver` unit per class;
+/// pass [`Budget::unlimited`] for no limit). The classes fan out through
 /// [`sap_core::map_reduce_isolated`] on fixed per-class budget shares, so
 /// metered runs trip — and degrade — byte-identically at any `workers`
 /// width (`0` = auto, `1` = sequential).
@@ -273,10 +251,8 @@ fn elevator(
     let sub_ids = sub.all_ids();
     let (opt, was_exact) = if sub_ids.len() <= params.max_class_size.min(64) {
         let solved = match params.solver {
-            ElevatorSolver::Search => {
-                solve_exact_sap_budgeted(&sub, &sub_ids, params.exact, budget)?
-            }
-            ElevatorSolver::Lemma13Dp => solve_lemma13_dp_budgeted(
+            ElevatorSolver::Search => solve_exact_sap(&sub, &sub_ids, params.exact, budget)?,
+            ElevatorSolver::Lemma13Dp => solve_lemma13_dp(
                 &sub,
                 &sub_ids,
                 Lemma13Config { max_states: params.exact.max_states, max_heights: 4096 },
@@ -308,8 +284,26 @@ fn elevator(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::solve_exact_sap;
     use sap_core::{is_delta_small, PathNetwork, Ratio};
+
+    fn solve_medium_with_stats(
+        inst: &Instance,
+        ids: &[TaskId],
+        params: MediumParams,
+    ) -> (SapSolution, MediumStats) {
+        try_solve_medium_with_stats(inst, ids, params, 0, &Budget::unlimited()).unwrap()
+    }
+
+    fn solve_medium(inst: &Instance, ids: &[TaskId], params: MediumParams) -> SapSolution {
+        solve_medium_with_stats(inst, ids, params).0
+    }
+
+    fn exact(inst: &Instance, ids: &[TaskId]) -> u64 {
+        solve_exact_sap(inst, ids, ExactConfig::default(), &Budget::unlimited())
+            .unwrap()
+            .expect("budget")
+            .weight(inst)
+    }
 
     /// Medium workload: 1/8-large and ½-small tasks over mixed strata.
     fn medium_instance(seed: u64, m: usize, n: usize) -> Instance {
@@ -355,9 +349,7 @@ mod tests {
         for seed in 0..6 {
             let inst = medium_instance(seed + 20, 5, 12);
             let ids = inst.all_ids();
-            let opt = solve_exact_sap(&inst, &ids, ExactConfig::default())
-                .expect("budget")
-                .weight(&inst);
+            let opt = exact(&inst, &ids);
             let sol = solve_medium(&inst, &ids, MediumParams::default());
             let w = sol.weight(&inst);
             assert!(3 * w >= opt, "seed {seed}: medium {w} vs opt {opt}");
@@ -385,13 +377,10 @@ mod tests {
         // optimal *height assignments* split differently under Lemma 14,
         // so the framework outputs may differ — each must stay within the
         // Theorem-2 bound (ℓ=4, q=2 ⇒ 3) of the true optimum.
-        use crate::exact::{solve_exact_sap, ExactConfig};
         for seed in 0..2 {
             let inst = medium_instance(seed + 40, 4, 9);
             let ids = inst.all_ids();
-            let opt = solve_exact_sap(&inst, &ids, ExactConfig::default())
-                .expect("budget")
-                .weight(&inst);
+            let opt = exact(&inst, &ids);
             for solver in [ElevatorSolver::Search, ElevatorSolver::Lemma13Dp] {
                 let sol = solve_medium(
                     &inst,

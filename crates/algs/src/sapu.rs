@@ -164,7 +164,7 @@ pub fn solve_sapu_exact_dp(instance: &Instance, ids: &[TaskId]) -> SapSolution {
 mod tests {
     use super::*;
     use crate::exact::{solve_exact_sap, ExactConfig};
-    use sap_core::{PathNetwork, Task};
+    use sap_core::{Budget, PathNetwork, Task};
 
     fn random_sapu(seed: u64, m: usize, n: usize, k: u64) -> Instance {
         let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -222,7 +222,9 @@ mod tests {
             let ids = inst.all_ids();
             let dp = solve_sapu_exact_dp(&inst, &ids);
             dp.validate(&inst).unwrap();
-            let search = solve_exact_sap(&inst, &ids, ExactConfig::default()).unwrap();
+            let search = solve_exact_sap(&inst, &ids, ExactConfig::default(), &Budget::unlimited())
+                .unwrap()
+                .unwrap();
             assert_eq!(
                 dp.weight(&inst),
                 search.weight(&inst),

@@ -55,25 +55,11 @@ pub struct SmallRun {
 ///
 /// The caller is responsible for passing δ-small tasks (the theorem's
 /// guarantee only holds then); the output is a feasible SAP solution for
-/// any input. A non-optimal LP (pivot-limited) routes the whole arm to the
-/// greedy baseline — the partial fractional point is never rounded.
-pub fn solve_small(instance: &Instance, ids: &[TaskId], algo: SmallAlgo) -> SapSolution {
-    // An unlimited budget cannot trip, so the Err arm is dead; greedy
-    // keeps the wrapper total without a panic path.
-    let sol =
-        match try_solve_small(instance, ids, algo, SimplexOptions::default(), 0, &Budget::unlimited()) {
-        Ok(run) => run.solution,
-        Err(_) => greedy_sap_best(instance, ids),
-    };
-    debug_assert!(sol.validate(instance).is_ok());
-    sol
-}
-
-/// Budget-aware fallible Strip-Pack.
+/// any input.
 ///
 /// Per stratum, the LP solve is charged against `budget` (`LpPivot`
 /// units, at most `opts.max_pivots` pivots, `0` = automatic) plus one
-/// `Driver` unit. The strata fan out through
+/// `Driver` unit; pass [`Budget::unlimited`] for no limit. The strata fan out through
 /// [`sap_core::map_reduce_isolated`]: each stratum runs on a fixed
 /// per-item share of the budget's remaining work units, so the trip
 /// points — and therefore the solution, report, and telemetry — are
@@ -148,7 +134,7 @@ fn pack_stratum(
     // Step 2: half-B-packable UFPP solution.
     let ufpp_sol = match algo {
         SmallAlgo::LpRounding => {
-            let strip = ufpp::round_scaled_lp_budgeted(&sub, &sub_ids, half, opts, budget)?;
+            let strip = ufpp::round_scaled_lp(&sub, &sub_ids, half, opts, budget)?;
             if strip.lp_status != LpStatus::Optimal {
                 // Lemma 5 needs the fractional optimum; discard.
                 return Ok((SapSolution::empty(), false));
@@ -173,6 +159,12 @@ fn pack_stratum(
 mod tests {
     use super::*;
     use sap_core::{is_delta_small, PathNetwork, Ratio, Task};
+
+    fn solve_small(inst: &Instance, ids: &[TaskId], algo: SmallAlgo) -> SapSolution {
+        try_solve_small(inst, ids, algo, SimplexOptions::default(), 0, &Budget::unlimited())
+            .unwrap()
+            .solution
+    }
 
     fn small_instance(seed: u64, m: usize, n: usize) -> Instance {
         let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;

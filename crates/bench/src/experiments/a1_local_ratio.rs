@@ -6,7 +6,8 @@
 //! reproduce the 4-vs-5 ordering and verify the packability invariant.
 
 use crate::par_seeds;
-use sap_core::Instance;
+use lp_solver::SimplexOptions;
+use sap_core::{Budget, Instance};
 use sap_gen::{generate, CapacityProfile, DemandRegime, GenConfig};
 use ufpp::{lp_upper_bound, round_scaled_lp, strip_local_ratio};
 
@@ -45,7 +46,8 @@ pub fn run() -> Vec<Table> {
                 let (inst, b) = band_workload(seed + 300, delta_inv);
                 let ids = inst.all_ids();
                 let (_, lp) = lp_upper_bound(&inst, &ids);
-                let lp_round = round_scaled_lp(&inst, &ids, b / 2);
+                let lp_round = round_scaled_lp(&inst, &ids, b / 2, SimplexOptions::default(), &Budget::unlimited())
+                    .expect("no budget");
                 lp_round
                     .solution
                     .validate_packable(&inst, b / 2)

@@ -10,6 +10,7 @@
 
 use crate::par_seeds;
 use sap_algs::{solve_exact_sap, ExactConfig, SapParams};
+use sap_core::Budget;
 
 use crate::table::Table;
 use crate::workloads::{mixed_workload, tiny_mixed_workload};
@@ -31,7 +32,8 @@ fn exact_gap() -> Table {
     let ratios: Vec<f64> = par_seeds(0..SEEDS, |seed| {
             let inst = tiny_mixed_workload(seed + 4000);
             let ids = inst.all_ids();
-            let sap = solve_exact_sap(&inst, &ids, ExactConfig::default())
+            let sap = solve_exact_sap(&inst, &ids, ExactConfig::default(), &Budget::unlimited())
+                .expect("no budget")
                 .expect("budget")
                 .weight(&inst);
             let ufpp_opt = ufpp::solve_exact(&inst, &ids).weight(&inst);

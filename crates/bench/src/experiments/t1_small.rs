@@ -5,7 +5,9 @@
 //! bound (which dominates `OPT_SAP`) on realistic sizes, sweeping δ.
 
 use crate::par_seeds;
-use sap_algs::{solve_exact_sap, solve_small, ExactConfig, SmallAlgo};
+use lp_solver::SimplexOptions;
+use sap_algs::{solve_exact_sap, try_solve_small, ExactConfig, SmallAlgo};
+use sap_core::{Budget, Instance, SapSolution, TaskId};
 use sap_gen::{generate, CapacityProfile, DemandRegime, GenConfig};
 use ufpp::lp_upper_bound;
 
@@ -45,6 +47,14 @@ fn ratio_vs_lp() -> Table {
     t
 }
 
+/// Strip-Pack with default LP options and no budget.
+fn solve_small(inst: &Instance, ids: &[TaskId], algo: SmallAlgo) -> SapSolution {
+    let opts = SimplexOptions::default();
+    try_solve_small(inst, ids, algo, opts, 0, &Budget::unlimited())
+        .expect("no budget")
+        .solution
+}
+
 fn ratio_vs_exact() -> Table {
     let mut t = Table::new(
         "T1b",
@@ -68,7 +78,8 @@ fn ratio_vs_exact() -> Table {
                     seed + 1000,
                 );
                 let ids = inst.all_ids();
-                let opt = solve_exact_sap(&inst, &ids, ExactConfig::default())
+                let opt = solve_exact_sap(&inst, &ids, ExactConfig::default(), &Budget::unlimited())
+                    .expect("no budget")
                     .expect("budget")
                     .weight(&inst);
                 let sol = solve_small(&inst, &ids, algo);

@@ -5,8 +5,9 @@
 //! (classes solved exactly, winning residue).
 
 use crate::par_seeds;
-use sap_algs::medium::{solve_medium_with_stats, MediumParams};
+use sap_algs::medium::{try_solve_medium_with_stats, MediumParams};
 use sap_algs::{solve_exact_sap, ExactConfig};
+use sap_core::Budget;
 
 use crate::table::{fmt_mean_max, Table};
 use crate::workloads::medium_workload;
@@ -25,11 +26,14 @@ pub fn run() -> Vec<Table> {
         let results: Vec<(f64, usize, usize)> = par_seeds(0..SEEDS, |seed| {
                 let inst = medium_workload(seed, 5, 12);
                 let ids = inst.all_ids();
-                let opt = solve_exact_sap(&inst, &ids, ExactConfig::default())
+                let opt = solve_exact_sap(&inst, &ids, ExactConfig::default(), &Budget::unlimited())
+                    .expect("no budget")
                     .expect("budget")
                     .weight(&inst);
                 let params = MediumParams { ell, ..Default::default() };
-                let (sol, stats) = solve_medium_with_stats(&inst, &ids, params);
+                let (sol, stats) =
+                    try_solve_medium_with_stats(&inst, &ids, params, 0, &Budget::unlimited())
+                        .expect("no budget");
                 sol.validate(&inst).expect("feasible");
                 (
                     opt as f64 / sol.weight(&inst).max(1) as f64,

@@ -8,7 +8,8 @@
 use std::time::Instant;
 
 use crate::par_seeds;
-use sap_algs::{solve_exact_sap, solve_large, ExactConfig};
+use sap_algs::{solve_exact_sap, try_solve_large, ExactConfig};
+use sap_core::{Budget, Instance, SapSolution, TaskId};
 
 use crate::table::{fmt_mean_max, Table};
 use crate::workloads::large_workload;
@@ -31,7 +32,8 @@ fn ratio_table() -> Table {
         let ratios: Vec<f64> = par_seeds(0..SEEDS, |seed| {
                 let inst = large_workload(seed, 6, 12, k);
                 let ids = inst.all_ids();
-                let opt = solve_exact_sap(&inst, &ids, ExactConfig::default())
+                let opt = solve_exact_sap(&inst, &ids, ExactConfig::default(), &Budget::unlimited())
+                    .expect("no budget")
                     .expect("budget")
                     .weight(&inst);
                 let sol = solve_large(&inst, &ids).expect("budget");
@@ -42,6 +44,11 @@ fn ratio_table() -> Table {
         t.push(vec![k.to_string(), (2 * k - 1).to_string(), mean, max]);
     }
     t
+}
+
+/// The rectangle packing with no budget (`None`: memo-state cap hit).
+fn solve_large(inst: &Instance, ids: &[TaskId]) -> Option<SapSolution> {
+    try_solve_large(inst, ids, &Budget::unlimited()).expect("no budget")
 }
 
 fn runtime_table() -> Table {

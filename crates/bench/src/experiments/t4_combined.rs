@@ -6,8 +6,8 @@
 //! algorithm should win on workloads dominated by its regime.
 
 use crate::par_seeds;
-use sap_algs::combined::solve_with_stats;
-use sap_algs::{solve_exact_sap, ExactConfig, SapParams};
+use sap_algs::{solve, solve_exact_sap, try_solve, ExactConfig, SapParams};
+use sap_core::Budget;
 use sap_gen::DemandRegime;
 use ufpp::lp_upper_bound;
 
@@ -41,7 +41,7 @@ fn delta_ablation() -> Table {
                     delta_small: Ratio::new(1, delta_inv),
                     ..Default::default()
                 };
-                let (sol, _) = solve_with_stats(&inst, &ids, &params);
+                let sol = solve(&inst, &ids, &params);
                 sol.validate(&inst).expect("feasible");
                 let (_, lp) = lp_upper_bound(&inst, &ids);
                 let w = sol.weight(&inst);
@@ -64,10 +64,11 @@ fn ratio_vs_exact() -> Table {
     let ratios: Vec<f64> = par_seeds(0..SEEDS, |seed| {
             let inst = tiny_mixed_workload(seed);
             let ids = inst.all_ids();
-            let opt = solve_exact_sap(&inst, &ids, ExactConfig::default())
+            let opt = solve_exact_sap(&inst, &ids, ExactConfig::default(), &Budget::unlimited())
+                .expect("no budget")
                 .expect("budget")
                 .weight(&inst);
-            let (sol, _) = solve_with_stats(&inst, &ids, &SapParams::default());
+            let sol = solve(&inst, &ids, &SapParams::default());
             sol.validate(&inst).expect("feasible");
             opt as f64 / sol.weight(&inst).max(1) as f64
         });
@@ -87,7 +88,7 @@ fn ratio_vs_lp() -> Table {
         let ratios: Vec<f64> = par_seeds(0..SEEDS, |seed| {
                 let inst = mixed_workload(seed + 40, m, n);
                 let ids = inst.all_ids();
-                let (sol, _) = solve_with_stats(&inst, &ids, &SapParams::default());
+                let sol = solve(&inst, &ids, &SapParams::default());
                 sol.validate(&inst).expect("feasible");
                 let (_, lp) = lp_upper_bound(&inst, &ids);
                 lp / sol.weight(&inst).max(1) as f64
@@ -124,9 +125,10 @@ fn winner_table() -> Table {
                     },
                     seed + 70,
                 );
-                let (_, stats) =
-                    solve_with_stats(&inst, &inst.all_ids(), &SapParams::default());
-                stats.winner
+                let params = SapParams::default();
+                let (_, report) = try_solve(&inst, &inst.all_ids(), &params, &Budget::unlimited())
+                    .expect("no budget");
+                report.winner
             });
         let count = |w: &str| winners.iter().filter(|&&x| x == w).count().to_string();
         t.push(vec![name.into(), count("small"), count("medium"), count("large")]);

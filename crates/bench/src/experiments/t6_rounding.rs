@@ -7,6 +7,8 @@
 //! as δ shrinks (retention should approach and exceed 1).
 
 use crate::par_seeds;
+use lp_solver::SimplexOptions;
+use sap_core::Budget;
 use ufpp::{lp_upper_bound, round_scaled_lp};
 
 use crate::table::Table;
@@ -28,7 +30,8 @@ pub fn run() -> Vec<Table> {
                 let ids = inst.all_ids();
                 let (_, lp) = lp_upper_bound(&inst, &ids);
                 let bound = inst.network().min_capacity() / 2;
-                let rounded = round_scaled_lp(&inst, &ids, bound);
+                let rounded = round_scaled_lp(&inst, &ids, bound, SimplexOptions::default(), &Budget::unlimited())
+                    .expect("no budget");
                 rounded
                     .solution
                     .validate_packable(&inst, bound)

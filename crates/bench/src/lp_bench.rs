@@ -71,7 +71,9 @@ fn ladder_rung(seed: u64, m: usize, n: usize) -> String {
     let p = random_lp(seed, m, n);
     let mut scratch = Scratch::new();
     let start = Instant::now();
-    let s = p.solve_with_options(SimplexOptions::default(), &mut scratch);
+    let s = p
+        .solve_with(SimplexOptions::default(), &Budget::unlimited(), &mut scratch)
+        .expect("unlimited budget");
     let sparse_ms = start.elapsed().as_secs_f64() * 1e3;
     let stats = scratch.stats();
     let start = Instant::now();
@@ -192,12 +194,13 @@ fn trace_entry(seed: u64, m: usize, n: usize) -> String {
     warm.enable_trace();
     // Warm the scratch on an unrelated problem first, then solve `p`.
     let q = random_lp(seed ^ 0x0dd, m, n / 2);
-    let _ = q.solve_with_scratch(0, &mut warm);
-    let _ = p.solve_with_scratch(0, &mut warm);
+    let (opts, unlimited) = (SimplexOptions::default(), Budget::unlimited());
+    let _ = q.solve_with(opts, &unlimited, &mut warm);
+    let _ = p.solve_with(opts, &unlimited, &mut warm);
     let warm_trace = format!("{:?}", warm.trace());
     let mut cold = Scratch::new();
     cold.enable_trace();
-    let _ = p.solve_with_scratch(0, &mut cold);
+    let _ = p.solve_with(opts, &unlimited, &mut cold);
     let cold_trace = format!("{:?}", cold.trace());
     let pivots = cold.stats().etas;
     format!(

@@ -172,10 +172,9 @@ pub fn run_core(config: &SuiteConfig) -> String {
         let rec = Recorder::new();
         let budget = Budget::unlimited().with_telemetry(rec.handle());
         let start = Instant::now();
-        let chosen =
-            rectpack::max_weight_packing_budgeted(&inst, &ids, Default::default(), &budget)
-                .expect("unlimited budget")
-                .unwrap_or_default();
+        let chosen = rectpack::max_weight_packing(&inst, &ids, Default::default(), &budget)
+            .expect("unlimited budget")
+            .unwrap_or_default();
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
         let weight = inst.total_weight(&chosen);
         let allocs = rec.handle().counter("mwis.allocs");

@@ -95,6 +95,7 @@ pub use units::{Capacity, Demand, EdgeId, Height, Ratio, TaskId, Vertex, Weight}
 
 /// Commonly used items, for glob import.
 pub mod prelude {
+    pub use crate::budget::Budget;
     pub use crate::classify::{classify_by_size, strata_by_bottleneck, SizeClass};
     pub use crate::error::{SapError, SapResult};
     pub use crate::gravity::{apply_gravity, canonical_heights};

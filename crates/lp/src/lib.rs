@@ -35,17 +35,17 @@
 //! optimality certificate used by the tests: the returned duals are
 //! always dual-feasible, so a zero gap proves optimality.
 //!
-//! Repeated solves can share a [`Scratch`] workspace
-//! ([`LpProblem::solve_with_scratch`] /
-//! [`LpProblem::solve_budgeted_with_scratch`]): the basis, eta-file and
+//! [`LpProblem::solve`] is the one-shot helper; [`LpProblem::solve_with`]
+//! takes the full option set, a cooperative budget (pass
+//! `Budget::unlimited()` for none), and a [`Scratch`] workspace that
+//! repeated solves can share: the basis, eta-file and
 //! pricing buffers are reused instead of reallocated, and reuse is
 //! guaranteed to pick the exact same pivots as a cold solve (every
 //! buffer cell is rewritten from the problem data before the first
 //! iteration). A [`ScratchPool`] extends the same guarantee across
 //! many problems, keyed by shape. The pre-sparse dense solver survives
 //! as [`dense::solve_dense`], the differential oracle of the property
-//! tests, and [`bnb::solve_binary_bnb`] adds an opt-in bounded
-//! branch-and-bound integerization for 0/1 problems.
+//! tests.
 
 //! ## Example
 //!
@@ -64,12 +64,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bnb;
 pub mod dense;
 pub mod pool;
 pub mod simplex;
 
-pub use bnb::{solve_binary_bnb, BnbSolution};
 pub use dense::solve_dense;
 pub use pool::ScratchPool;
 pub use simplex::{

@@ -103,6 +103,12 @@ impl ScratchPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{LpSolution, SimplexOptions};
+    use sap_core::budget::Budget;
+
+    fn solve_in(p: &LpProblem, scratch: &mut Scratch) -> LpSolution {
+        p.solve_with(SimplexOptions::default(), &Budget::unlimited(), scratch).unwrap()
+    }
 
     fn lp(rows: usize, vars: usize) -> LpProblem {
         let mut p = LpProblem::new(vec![4.0; rows]);
@@ -117,12 +123,12 @@ mod tests {
         let mut pool = ScratchPool::new(4);
         let p = lp(3, 6);
         let mut s = pool.checkout(&p);
-        p.solve_with_scratch(0, &mut s);
+        solve_in(&p, &mut s);
         let allocs = s.buffer_allocs();
         assert!(allocs > 0);
         pool.checkin(&p, s);
         let mut warm = pool.checkout(&p);
-        p.solve_with_scratch(0, &mut warm);
+        solve_in(&p, &mut warm);
         assert_eq!(warm.buffer_allocs(), allocs, "warm checkout must not reallocate");
         assert_eq!(pool.hits(), 1);
         assert_eq!(pool.misses(), 1);
@@ -136,16 +142,16 @@ mod tests {
         let b = lp(4, 9);
         let mut cold = Scratch::new();
         cold.enable_trace();
-        let cold_sol = b.solve_with_scratch(0, &mut cold);
+        let cold_sol = solve_in(&b, &mut cold);
         let mut pool = ScratchPool::new(4);
         let mut s = pool.checkout(&a);
         s.enable_trace();
-        a.solve_with_scratch(0, &mut s);
+        solve_in(&a, &mut s);
         pool.checkin(&a, s);
         // Different shape ⇒ miss, but force reuse through the same pool
         // anyway by checking the warm scratch out under `a`'s key.
         let mut warm = pool.checkout(&a);
-        let warm_sol = b.solve_with_scratch(0, &mut warm);
+        let warm_sol = solve_in(&b, &mut warm);
         assert_eq!(warm.trace(), cold.trace());
         assert_eq!(warm_sol.x, cold_sol.x);
         assert_eq!(warm_sol.objective.to_bits(), cold_sol.objective.to_bits());

@@ -40,27 +40,17 @@ pub enum LpStatus {
     SingularBasis,
 }
 
-/// Solver knobs shared by every entry point that accepts options.
+/// Solver knobs for [`LpProblem::solve_with`].
 ///
-/// All fields use `0` for "automatic": `max_pivots = 0` selects the
-/// `64·(n + m) + 4096` pivot ceiling, `refactor_every = 0` selects
-/// [`DEFAULT_REFACTOR_EVERY`], and `max_bnb_nodes = 0` lets the
-/// branch-and-bound integerizer pick its own node budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Both fields use `0` for "automatic": `max_pivots = 0` selects the
+/// `64·(n + m) + 4096` pivot ceiling and `refactor_every = 0` selects
+/// [`DEFAULT_REFACTOR_EVERY`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimplexOptions {
     /// Pivot ceiling per LP solve (`0` = automatic).
     pub max_pivots: usize,
-    /// Node ceiling for [`crate::bnb::solve_binary_bnb`] (`0` = automatic);
-    /// ignored by plain LP solves.
-    pub max_bnb_nodes: usize,
     /// Etas between basis refactorizations (`0` = automatic).
     pub refactor_every: usize,
-}
-
-impl Default for SimplexOptions {
-    fn default() -> Self {
-        SimplexOptions { max_pivots: 0, max_bnb_nodes: 0, refactor_every: 0 }
-    }
 }
 
 /// Deterministic work counters of the most recent solve through a
@@ -154,7 +144,7 @@ pub struct PivotRecord {
 ///
 /// Carrying one `Scratch` across repeated solves removes every
 /// per-solve and per-pivot buffer allocation. Reuse is pivot-identical
-/// by construction: [`LpProblem::solve_with_scratch`] rewrites every
+/// by construction: [`LpProblem::solve_with`] rewrites every
 /// cell of every buffer from the problem data alone before the first
 /// iteration (the eta file starts empty, the pricing cursor starts at
 /// segment zero), so pricing, ratio tests and basis updates see
@@ -478,31 +468,20 @@ impl LpProblem {
         ok
     }
 
-    /// Solves the LP. `max_iters = 0` selects an automatic limit of
-    /// `64·(n + m) + 4096` pivots.
+    /// Solves the LP once, unbudgeted and on a fresh workspace.
+    /// `max_iters = 0` selects an automatic limit of `64·(n + m) + 4096`
+    /// pivots.
     pub fn solve(&self, max_iters: usize) -> LpSolution {
-        self.solve_with_scratch(max_iters, &mut Scratch::new())
-    }
-
-    /// [`LpProblem::solve`] reusing a caller-provided [`Scratch`] —
-    /// identical pivots and solution, but repeated solves stop paying
-    /// per-solve and per-pivot allocations.
-    pub fn solve_with_scratch(&self, max_iters: usize, scratch: &mut Scratch) -> LpSolution {
         let opts = SimplexOptions { max_pivots: max_iters, ..SimplexOptions::default() };
-        self.solve_with_options(opts, scratch)
-    }
-
-    /// [`LpProblem::solve_with_scratch`] with the full option set
-    /// (pivot ceiling, refactorization cadence).
-    pub fn solve_with_options(&self, opts: SimplexOptions, scratch: &mut Scratch) -> LpSolution {
-        // No budget ⇒ no checkpoint can trip, so the Err arm is dead; the
+        // An unlimited budget cannot trip, so the Err arm is dead; the
         // trivial point keeps this total without a panic path.
-        self.solve_inner(opts, None, scratch)
+        self.solve_with(opts, &Budget::unlimited(), &mut Scratch::new())
             .unwrap_or_else(|_| self.trivial_solution(LpStatus::IterationLimit))
     }
 
-    /// Solves the LP under a cooperative [`Budget`], charging one
-    /// `LpPivot` work unit per simplex iteration.
+    /// Solves the LP under a cooperative [`Budget`] on a caller-provided
+    /// [`Scratch`], charging one `LpPivot` work unit per simplex
+    /// iteration. Pass [`Budget::unlimited`] for an unbudgeted solve.
     ///
     /// Returns [`sap_core::SapError::BudgetExhausted`] when the budget
     /// trips mid-solve; no partial point is returned, because a
@@ -510,40 +489,13 @@ impl LpProblem {
     /// routes to its greedy fallback instead). A pivot-limit stop is still
     /// reported in-band as [`LpStatus::IterationLimit`], and an injected
     /// refactorization fault as [`LpStatus::SingularBasis`].
-    pub fn solve_budgeted(&self, max_iters: usize, budget: &Budget) -> SapResult<LpSolution> {
-        self.solve_budgeted_with_scratch(max_iters, budget, &mut Scratch::new())
-    }
-
-    /// [`LpProblem::solve_budgeted`] reusing a caller-provided
-    /// [`Scratch`]; budget trips, pivots and the returned point are
-    /// identical to a cold solve.
-    pub fn solve_budgeted_with_scratch(
-        &self,
-        max_iters: usize,
-        budget: &Budget,
-        scratch: &mut Scratch,
-    ) -> SapResult<LpSolution> {
-        let opts = SimplexOptions { max_pivots: max_iters, ..SimplexOptions::default() };
-        self.solve_budgeted_with_options(opts, budget, scratch)
-    }
-
-    /// [`LpProblem::solve_budgeted_with_scratch`] with the full option
-    /// set (pivot ceiling, refactorization cadence).
-    pub fn solve_budgeted_with_options(
+    ///
+    /// A warm scratch picks exactly the pivots a cold one would, and the
+    /// buffers are handed back even on a budget trip.
+    pub fn solve_with(
         &self,
         opts: SimplexOptions,
         budget: &Budget,
-        scratch: &mut Scratch,
-    ) -> SapResult<LpSolution> {
-        self.solve_inner(opts, Some(budget), scratch)
-    }
-
-    /// Shared tail of every entry point: borrow the scratch buffers,
-    /// run, and hand the buffers back even on a budget trip.
-    fn solve_inner(
-        &self,
-        opts: SimplexOptions,
-        budget: Option<&Budget>,
         scratch: &mut Scratch,
     ) -> SapResult<LpSolution> {
         let mut s = Simplex::init(self, opts, scratch);
@@ -891,13 +843,11 @@ impl<'a> Simplex<'a> {
     ///
     /// On success the files are swapped and `x_B` is recomputed from
     /// the problem data through the fresh factorization.
-    fn refactor(&mut self, budget: Option<&Budget>) -> bool {
+    fn refactor(&mut self, budget: &Budget) -> bool {
         self.stats.refactors += 1;
         self.etas_since_refactor = 0;
-        if let Some(b) = budget {
-            if b.refactor_fault() {
-                return false;
-            }
+        if budget.refactor_fault() {
+            return false;
         }
         self.tmp_ptr.clear();
         self.tmp_ptr.push(0);
@@ -950,7 +900,7 @@ impl<'a> Simplex<'a> {
         apply_eta_file(&self.eta_ptr, &self.eta_row, &self.eta_idx, &self.eta_val, &mut self.xb);
     }
 
-    fn run_loop(&mut self, max_iters: usize, budget: Option<&Budget>) -> SapResult<LpStatus> {
+    fn run_loop(&mut self, max_iters: usize, budget: &Budget) -> SapResult<LpStatus> {
         // Refactorization #1 happens before the first pivot — with the
         // slack start it produces the empty eta file, and it gives the
         // injected `fail_refactor` fault a deterministic firing point.
@@ -960,10 +910,8 @@ impl<'a> Simplex<'a> {
         let mut stall = 0usize;
         let mut last_obj = f64::NEG_INFINITY;
         for _ in 0..max_iters {
-            if let Some(b) = budget {
-                b.tick(CheckpointClass::LpPivot, 1);
-                b.checkpoint(CheckpointClass::LpPivot, 1)?;
-            }
+            budget.tick(CheckpointClass::LpPivot, 1);
+            budget.checkpoint(CheckpointClass::LpPivot, 1)?;
             if self.etas_since_refactor >= self.refactor_every && !self.refactor(budget) {
                 return Ok(LpStatus::SingularBasis);
             }
@@ -1119,6 +1067,11 @@ impl<'a> Simplex<'a> {
 mod tests {
     use super::*;
 
+    /// Unbudgeted default-option solve through `scratch`.
+    fn solve_in(p: &LpProblem, scratch: &mut Scratch) -> LpSolution {
+        p.solve_with(SimplexOptions::default(), &Budget::unlimited(), scratch).unwrap()
+    }
+
     fn solve(p: &LpProblem) -> LpSolution {
         let s = p.solve(0);
         assert_eq!(s.status, LpStatus::Optimal);
@@ -1270,13 +1223,13 @@ mod tests {
         p.add_var(2.0, 1.0, &[(1, 2.0), (2, 2.0)]);
         p.add_var(3.0, 1.0, &[(0, 2.0), (1, 2.0), (2, 2.0)]);
         let plain = p.solve(0);
-        let budgeted = p.solve_budgeted(0, &Budget::unlimited()).unwrap();
+        let budgeted = solve_in(&p, &mut Scratch::new());
         assert_eq!(budgeted.status, LpStatus::Optimal);
         assert_eq!(budgeted.x, plain.x);
         // one pivot of budget is not enough for this LP
         let tight = Budget::unlimited().with_work_units(1);
         assert!(matches!(
-            p.solve_budgeted(0, &tight),
+            p.solve_with(SimplexOptions::default(), &tight, &mut Scratch::new()),
             Err(sap_core::SapError::BudgetExhausted)
         ));
     }
@@ -1316,10 +1269,10 @@ mod tests {
             let p = random_lp(seed);
             let mut cold = Scratch::new();
             cold.enable_trace();
-            let cold_sol = p.solve_with_scratch(0, &mut cold);
+            let cold_sol = solve_in(&p, &mut cold);
             let cold_trace: Vec<PivotRecord> = cold.trace().to_vec();
             assert!(!cold_trace.is_empty(), "seed {seed}: LP solved without pivots");
-            let warm_sol = p.solve_with_scratch(0, &mut warm);
+            let warm_sol = solve_in(&p, &mut warm);
             assert_eq!(warm.trace(), &cold_trace[..], "seed {seed}: pivot sequence diverged");
             assert_eq!(warm_sol.x, cold_sol.x, "seed {seed}");
             assert_eq!(warm_sol.objective.to_bits(), cold_sol.objective.to_bits());
@@ -1336,11 +1289,11 @@ mod tests {
         // pays the full price on every solve.
         let p = random_lp(7);
         let mut scratch = Scratch::new();
-        p.solve_with_scratch(0, &mut scratch);
+        solve_in(&p, &mut scratch);
         let after_first = scratch.buffer_allocs();
         assert!(after_first >= 4, "cold solve must grow the buffers");
         for _ in 0..5 {
-            p.solve_with_scratch(0, &mut scratch);
+            solve_in(&p, &mut scratch);
         }
         assert_eq!(scratch.buffer_allocs(), after_first, "warm solves must not reallocate");
         assert_eq!(scratch.solves(), 6);
@@ -1351,16 +1304,12 @@ mod tests {
         let p = random_lp(3);
         let plain = p.solve(0);
         let mut scratch = Scratch::new();
-        let warm = p
-            .solve_budgeted_with_scratch(0, &Budget::unlimited(), &mut scratch)
-            .unwrap();
+        let warm = solve_in(&p, &mut scratch);
         assert_eq!(warm.x, plain.x);
         // A tripping budget hands the buffers back for the next solve.
         let tight = Budget::unlimited().with_work_units(1);
-        assert!(p.solve_budgeted_with_scratch(0, &tight, &mut scratch).is_err());
-        let again = p
-            .solve_budgeted_with_scratch(0, &Budget::unlimited(), &mut scratch)
-            .unwrap();
+        assert!(p.solve_with(SimplexOptions::default(), &tight, &mut scratch).is_err());
+        let again = solve_in(&p, &mut scratch);
         assert_eq!(again.x, plain.x);
     }
 
@@ -1399,14 +1348,14 @@ mod tests {
     fn solve_stats_count_the_work() {
         let p = random_lp(5);
         let mut scratch = Scratch::new();
-        let sol = p.solve_with_scratch(0, &mut scratch);
+        let sol = solve_in(&p, &mut scratch);
         assert_eq!(sol.status, LpStatus::Optimal);
         let stats = scratch.stats();
         assert!(stats.refactors >= 1, "every solve factorizes at least once");
         assert!(stats.etas >= 1, "a non-trivial LP must pivot");
         assert!(stats.pricing_scanned > 0);
         // Stats describe the most recent solve, not the lifetime.
-        let again = p.solve_with_scratch(0, &mut scratch);
+        let again = solve_in(&p, &mut scratch);
         assert_eq!(again.status, LpStatus::Optimal);
         assert_eq!(scratch.stats(), stats, "identical solve, identical stats");
     }
@@ -1420,10 +1369,10 @@ mod tests {
         for seed in 0..10 {
             let p = random_lp(seed);
             let mut default_scratch = Scratch::new();
-            let base = p.solve_with_scratch(0, &mut default_scratch);
+            let base = solve_in(&p, &mut default_scratch);
             let mut eager_scratch = Scratch::new();
             let opts = SimplexOptions { refactor_every: 1, ..SimplexOptions::default() };
-            let eager = p.solve_with_options(opts, &mut eager_scratch);
+            let eager = p.solve_with(opts, &Budget::unlimited(), &mut eager_scratch).unwrap();
             assert_eq!(base.status, eager.status, "seed {seed}");
             assert!(
                 (base.objective - eager.objective).abs() < 1e-7,

@@ -7,6 +7,7 @@
 //! Build with `--features proptest` to raise the iteration counts.
 
 use lp_solver::{solve_dense, LpProblem, LpStatus, Scratch, SimplexOptions};
+use sap_core::budget::Budget;
 use sap_gen::Rng64;
 
 const CASES: u64 = if cfg!(feature = "proptest") { 1024 } else { 192 };
@@ -169,14 +170,21 @@ fn eta_refactorization_does_not_drift() {
         }
         let mut lazy = Scratch::new();
         let mut eager = Scratch::new();
-        let s_lazy = p.solve_with_options(
-            SimplexOptions { refactor_every: K, ..SimplexOptions::default() },
-            &mut lazy,
-        );
-        let s_eager = p.solve_with_options(
-            SimplexOptions { refactor_every: 1, ..SimplexOptions::default() },
-            &mut eager,
-        );
+        let unlimited = Budget::unlimited();
+        let s_lazy = p
+            .solve_with(
+                SimplexOptions { refactor_every: K, ..SimplexOptions::default() },
+                &unlimited,
+                &mut lazy,
+            )
+            .unwrap();
+        let s_eager = p
+            .solve_with(
+                SimplexOptions { refactor_every: 1, ..SimplexOptions::default() },
+                &unlimited,
+                &mut eager,
+            )
+            .unwrap();
         deepest = deepest.max(lazy.stats().etas);
         assert_eq!(s_lazy.status, LpStatus::Optimal, "case {case}");
         assert_eq!(s_eager.status, LpStatus::Optimal, "case {case}");

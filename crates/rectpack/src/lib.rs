@@ -37,7 +37,10 @@
 //!     Task::of(0, 1, 5, 4),   // R = [0,1)×[5,10) — fits above
 //! ]).unwrap();
 //! let best = rectpack::max_weight_packing(&inst, &inst.all_ids(),
-//!                                         rectpack::MwisConfig::default()).unwrap();
+//!                                         rectpack::MwisConfig::default(),
+//!                                         &sap_core::Budget::unlimited())
+//!     .unwrap()
+//!     .unwrap();
 //! assert_eq!(inst.total_weight(&best), 14);  // both rectangles are disjoint
 //! ```
 
@@ -49,7 +52,5 @@ pub mod mwis;
 pub mod reduction;
 
 pub use coloring::{degeneracy_order, greedy_coloring, intersection_graph};
-pub use mwis::{
-    max_weight_packing, max_weight_packing_bruteforce, max_weight_packing_budgeted, MwisConfig,
-};
+pub use mwis::{max_weight_packing, max_weight_packing_bruteforce, MwisConfig};
 pub use reduction::{rect_of, rects_disjoint, Rect};

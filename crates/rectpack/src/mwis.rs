@@ -136,43 +136,22 @@ struct Solver<'a> {
     legacy_allocs: u64,
     max_states: usize,
     exhausted: bool,
-    budget: Option<&'a Budget>,
+    budget: &'a Budget,
     budget_tripped: bool,
 }
 
 /// Computes a maximum-weight subset of `ids` whose rectangles `R(j)` are
-/// pairwise disjoint. Returns `None` when the state budget is exhausted
-/// (never observed on the paper's workloads; see `MwisConfig`).
+/// pairwise disjoint, charging one `PackSweep` work unit per recursive
+/// sweep against `budget` (pass [`Budget::unlimited`] for no limit).
+///
+/// `Err(BudgetExhausted)` is the cooperative budget tripping; `Ok(None)`
+/// is the solver's own memo-state budget giving up (never observed on the
+/// paper's workloads; see `MwisConfig`).
 pub fn max_weight_packing(
     instance: &Instance,
     ids: &[TaskId],
     config: MwisConfig,
-) -> Option<Vec<TaskId>> {
-    // Without a cooperative budget the only Err source is absent, so the
-    // error arm folds into the state-budget `None`.
-    run_packing(instance, ids, config, None).unwrap_or(None)
-}
-
-/// Budget-aware variant of [`max_weight_packing`]: charges one
-/// `PackSweep` work unit per recursive sweep against `budget`.
-///
-/// `Err(BudgetExhausted)` is the cooperative budget tripping; `Ok(None)`
-/// is the solver's own memo-state budget giving up, as in the infallible
-/// variant.
-pub fn max_weight_packing_budgeted(
-    instance: &Instance,
-    ids: &[TaskId],
-    config: MwisConfig,
     budget: &Budget,
-) -> SapResult<Option<Vec<TaskId>>> {
-    run_packing(instance, ids, config, Some(budget))
-}
-
-fn run_packing(
-    instance: &Instance,
-    ids: &[TaskId],
-    config: MwisConfig,
-    budget: Option<&Budget>,
 ) -> SapResult<Option<Vec<TaskId>>> {
     if ids.is_empty() {
         return Ok(Some(Vec::new()));
@@ -194,11 +173,10 @@ fn run_packing(
     let m = instance.num_edges();
     let root = solver.pool.intern(&[]);
     let value = solver.solve(0, m, root, None);
-    if let Some(b) = budget {
-        b.telemetry().gauge_max("mwis.memo_states", solver.memo.len() as u64);
-        b.telemetry().count("mwis.allocs", solver.pool.allocs + solver.scratch_allocs);
-        b.telemetry().count("mwis.allocs_legacy", solver.legacy_allocs);
-    }
+    let tele = budget.telemetry();
+    tele.gauge_max("mwis.memo_states", solver.memo.len() as u64);
+    tele.count("mwis.allocs", solver.pool.allocs + solver.scratch_allocs);
+    tele.count("mwis.allocs_legacy", solver.legacy_allocs);
     if solver.budget_tripped {
         return Err(SapError::BudgetExhausted);
     }
@@ -306,15 +284,13 @@ impl<'a> Solver<'a> {
         if lo >= hi || self.exhausted {
             return 0;
         }
-        if let Some(b) = self.budget {
-            b.tick(CheckpointClass::PackSweep, 1);
-            if b.checkpoint(CheckpointClass::PackSweep, 1).is_err() {
-                // Unwind the whole recursion; the caller maps this to
-                // Err(BudgetExhausted), so the bogus 0 value is never used.
-                self.exhausted = true;
-                self.budget_tripped = true;
-                return 0;
-            }
+        self.budget.tick(CheckpointClass::PackSweep, 1);
+        if self.budget.checkpoint(CheckpointClass::PackSweep, 1).is_err() {
+            // Unwind the whole recursion; the caller maps this to
+            // Err(BudgetExhausted), so the bogus 0 value is never used.
+            self.exhausted = true;
+            self.budget_tripped = true;
+            return 0;
         }
         let id = self.canonicalize(lo, hi, parent, extra);
         let key = (lo, hi, id);
@@ -450,9 +426,14 @@ mod tests {
     use super::*;
     use sap_core::{PathNetwork, Task};
 
+    /// Unbudgeted packing with the default state budget.
+    fn pack(inst: &Instance, ids: &[TaskId]) -> Option<Vec<TaskId>> {
+        max_weight_packing(inst, ids, MwisConfig::default(), &Budget::unlimited()).unwrap()
+    }
+
     fn solve_both(inst: &Instance) -> (u64, u64) {
         let ids = inst.all_ids();
-        let exact = max_weight_packing(inst, &ids, MwisConfig::default()).expect("budget");
+        let exact = pack(inst, &ids).expect("budget");
         assert!(is_valid_packing(inst, &exact));
         let brute = max_weight_packing_bruteforce(inst, &ids);
         (inst.total_weight(&exact), inst.total_weight(&brute))
@@ -494,7 +475,7 @@ mod tests {
         ];
         let inst = Instance::new(net, tasks).unwrap();
         let ids = inst.all_ids();
-        let exact = max_weight_packing(&inst, &ids, MwisConfig::default()).unwrap();
+        let exact = pack(&inst, &ids).unwrap();
         let mut sorted = exact.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1]);
@@ -555,7 +536,7 @@ mod tests {
         }
         let inst = Instance::new(net, tasks).unwrap();
         let ids = inst.all_ids();
-        let sol = max_weight_packing(&inst, &ids, MwisConfig::default()).expect("budget");
+        let sol = pack(&inst, &ids).expect("budget");
         assert!(is_valid_packing(&inst, &sol));
         assert!(!sol.is_empty());
     }
@@ -565,7 +546,7 @@ mod tests {
         let net = PathNetwork::uniform(2, 4).unwrap();
         let inst = Instance::new(net, vec![]).unwrap();
         assert_eq!(
-            max_weight_packing(&inst, &[], MwisConfig::default()).unwrap(),
+            pack(&inst, &[]).unwrap(),
             Vec::<TaskId>::new()
         );
     }
@@ -598,7 +579,7 @@ mod tests {
         let ids = inst.all_ids();
         let rec = sap_core::Recorder::new();
         let budget = Budget::unlimited().with_telemetry(rec.handle());
-        max_weight_packing_budgeted(&inst, &ids, MwisConfig::default(), &budget)
+        max_weight_packing(&inst, &ids, MwisConfig::default(), &budget)
             .unwrap()
             .unwrap();
         let actual = rec.handle().counter("mwis.allocs");
@@ -612,20 +593,14 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_matches_unbudgeted_and_trips() {
+    fn tight_budget_trips() {
         let net = PathNetwork::new(vec![10, 4, 10]).unwrap();
         let tasks = vec![Task::of(0, 3, 2, 10), Task::of(0, 1, 5, 4), Task::of(2, 3, 7, 4)];
         let inst = Instance::new(net, tasks).unwrap();
         let ids = inst.all_ids();
-        let plain = max_weight_packing(&inst, &ids, MwisConfig::default()).unwrap();
-        let budgeted =
-            max_weight_packing_budgeted(&inst, &ids, MwisConfig::default(), &Budget::unlimited())
-                .unwrap()
-                .unwrap();
-        assert_eq!(plain, budgeted);
         let tight = Budget::unlimited().with_work_units(1);
         assert!(matches!(
-            max_weight_packing_budgeted(&inst, &ids, MwisConfig::default(), &tight),
+            max_weight_packing(&inst, &ids, MwisConfig::default(), &tight),
             Err(SapError::BudgetExhausted)
         ));
     }

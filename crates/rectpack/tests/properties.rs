@@ -9,7 +9,7 @@ use rectpack::{
     degeneracy_order, greedy_coloring, intersection_graph, max_weight_packing,
     max_weight_packing_bruteforce, MwisConfig,
 };
-use sap_core::{Instance, PathNetwork, Span, Task};
+use sap_core::{Budget, Instance, PathNetwork, Span, Task};
 use sap_gen::Rng64;
 
 const CASES: u64 = if cfg!(feature = "proptest") { 768 } else { 144 };
@@ -38,7 +38,9 @@ fn exact_mwis_matches_bruteforce() {
         let mut rng = Rng64::seed_from_u64(0x4ec7_0001 ^ case);
         let inst = arb_instance(&mut rng);
         let ids = inst.all_ids();
-        let exact = max_weight_packing(&inst, &ids, MwisConfig::default()).expect("budget");
+        let exact = max_weight_packing(&inst, &ids, MwisConfig::default(), &Budget::unlimited())
+            .unwrap()
+            .expect("budget");
         let brute = max_weight_packing_bruteforce(&inst, &ids);
         assert_eq!(inst.total_weight(&exact), inst.total_weight(&brute), "case {case}");
         assert!(rectpack::reduction::is_valid_packing(&inst, &exact), "case {case}");
@@ -51,7 +53,9 @@ fn packing_projects_to_feasible_sap() {
         let mut rng = Rng64::seed_from_u64(0x4ec7_0002 ^ case);
         let inst = arb_instance(&mut rng);
         let ids = inst.all_ids();
-        let exact = max_weight_packing(&inst, &ids, MwisConfig::default()).expect("budget");
+        let exact = max_weight_packing(&inst, &ids, MwisConfig::default(), &Budget::unlimited())
+            .unwrap()
+            .expect("budget");
         let sol = rectpack::reduction::packing_to_sap(&inst, &exact);
         sol.validate(&inst).unwrap();
         // Each selected task sits exactly at its residual height.

@@ -176,9 +176,12 @@ fn solve_class(
 
 /// Large tasks: the exact rectangle packing (a valid UFPP solution).
 fn large_rectangles(instance: &Instance, ids: &[TaskId]) -> UfppSolution {
-    match rectpack::max_weight_packing(instance, ids, rectpack::MwisConfig::default()) {
-        Some(chosen) => UfppSolution::new(chosen),
-        None => greedy_by_density(instance, ids),
+    let unlimited = sap_core::Budget::unlimited();
+    match rectpack::max_weight_packing(instance, ids, rectpack::MwisConfig::default(), &unlimited) {
+        Ok(Some(chosen)) => UfppSolution::new(chosen),
+        // An unlimited budget cannot trip, so only the memo-state cap
+        // lands here.
+        Ok(None) | Err(_) => greedy_by_density(instance, ids),
     }
 }
 

@@ -1,14 +1,6 @@
 //! Exact UFPP by branch & bound — the reference optimum for small
 //! instances in tests and ratio experiments.
-//!
-//! Two engines: the combinatorial DFS [`solve_exact`] (no LP machinery,
-//! always runs to completion) and the LP-guided [`solve_exact_lp_bnb`]
-//! (best-bound search over the relaxation (1), node-budgeted and
-//! checkpointed — the arm of choice when the run must stay preemptible).
 
-use lp_solver::{solve_binary_bnb, SimplexOptions};
-use sap_core::budget::Budget;
-use sap_core::error::SapResult;
 use sap_core::{Instance, TaskId, UfppSolution};
 
 /// Solves UFPP exactly over `ids` by depth-first branch & bound with
@@ -90,38 +82,6 @@ pub fn solve_exact(instance: &Instance, ids: &[TaskId]) -> UfppSolution {
     UfppSolution::new(dfs.best)
 }
 
-/// Exact UFPP through LP-based branch & bound: builds the relaxation (1)
-/// over `ids` (every variable is 0/1) and closes the integrality gap with
-/// [`lp_solver::solve_binary_bnb`] under `budget`.
-///
-/// Returns `Ok(None)` when the node ceiling (`max_nodes`, `0` = solver
-/// default) cut the search before the tree closed — the incumbent is then
-/// not a certified optimum, and callers that need exactness must fall
-/// back (the combinatorial [`solve_exact`] has no ceiling). A tripped
-/// budget propagates as `Err`, exactly like every other metered arm.
-///
-/// Emits `lp.bnb.nodes` — nodes expanded, a pure function of the
-/// instance, so telemetry stays byte-identical at any worker width.
-pub fn solve_exact_lp_bnb(
-    instance: &Instance,
-    ids: &[TaskId],
-    max_nodes: usize,
-    budget: &Budget,
-) -> SapResult<Option<UfppSolution>> {
-    let phase = budget.telemetry().span("lp.bnb");
-    let lp = crate::relax::build_relaxation(instance, ids);
-    let opts = SimplexOptions { max_bnb_nodes: max_nodes, ..SimplexOptions::default() };
-    let sol = solve_binary_bnb(&lp, opts, budget)?;
-    phase.count("lp.bnb.nodes", sol.nodes);
-    if !sol.proven_optimal {
-        return Ok(None);
-    }
-    let chosen: Vec<TaskId> = sol.chosen.iter().map(|&i| ids[i]).collect();
-    let out = UfppSolution::new(chosen);
-    debug_assert!(out.validate(instance).is_ok());
-    Ok(Some(out))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,58 +146,5 @@ mod tests {
         let net = PathNetwork::uniform(2, 4).unwrap();
         let inst = Instance::new(net, vec![]).unwrap();
         assert!(solve_exact(&inst, &[]).is_empty());
-    }
-
-    #[test]
-    fn lp_bnb_matches_dfs_engine() {
-        let mut s = 0xBEEFu64;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
-        for case in 0..30 {
-            let m = 2 + (next() % 5) as usize;
-            let caps: Vec<u64> = (0..m).map(|_| 2 + next() % 10).collect();
-            let net = PathNetwork::new(caps).unwrap();
-            let mut tasks = Vec::new();
-            for _ in 0..(1 + next() % 10) {
-                let lo = (next() % m as u64) as usize;
-                let hi = (lo + 1 + (next() % (m as u64 - lo as u64)) as usize).min(m);
-                let b = net.bottleneck(sap_core::Span { lo, hi });
-                tasks.push(Task::of(lo, hi, 1 + next() % b, next() % 20));
-            }
-            let inst = Instance::new(net, tasks).unwrap();
-            let ids = inst.all_ids();
-            let dfs = solve_exact(&inst, &ids);
-            let bnb = solve_exact_lp_bnb(&inst, &ids, 0, &Budget::unlimited())
-                .unwrap()
-                .expect("default node ceiling closes n ≤ 10 instances");
-            bnb.validate(&inst).unwrap();
-            assert_eq!(bnb.weight(&inst), dfs.weight(&inst), "case {case}");
-        }
-    }
-
-    #[test]
-    fn lp_bnb_node_ceiling_yields_none() {
-        // A 1-node ceiling cannot close any tree whose root relaxation is
-        // fractional: three tasks contending for one capacity-7 edge.
-        let net = PathNetwork::new(vec![7]).unwrap();
-        let tasks =
-            vec![Task::of(0, 1, 5, 10), Task::of(0, 1, 4, 7), Task::of(0, 1, 3, 5)];
-        let inst = Instance::new(net, tasks).unwrap();
-        let got =
-            solve_exact_lp_bnb(&inst, &inst.all_ids(), 1, &Budget::unlimited()).unwrap();
-        assert!(got.is_none());
-    }
-
-    #[test]
-    fn lp_bnb_budget_trips_propagate() {
-        let net = PathNetwork::new(vec![7]).unwrap();
-        let tasks = vec![Task::of(0, 1, 5, 10), Task::of(0, 1, 4, 7)];
-        let inst = Instance::new(net, tasks).unwrap();
-        let tight = Budget::unlimited().with_work_units(1);
-        assert!(solve_exact_lp_bnb(&inst, &inst.all_ids(), 0, &tight).is_err());
     }
 }

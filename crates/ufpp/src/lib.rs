@@ -30,9 +30,9 @@ pub mod relax;
 pub mod rounding;
 
 pub use combined::{solve_ufpp_combined, UfppParams, UfppStats};
-pub use exact::{solve_exact, solve_exact_lp_bnb};
+pub use exact::solve_exact;
 pub use greedy::{greedy_by_density, greedy_by_weight};
 pub use heuristic::{round_lp_against_capacities, solve_ufpp_heuristic};
 pub use local_ratio::{strip_local_ratio, uniform_best_of};
 pub use relax::{build_relaxation, lp_upper_bound};
-pub use rounding::{round_scaled_lp, round_scaled_lp_budgeted, RoundedStrip};
+pub use rounding::{round_scaled_lp, RoundedStrip};

@@ -52,14 +52,14 @@ fn solve_pooled(
     LP_POOL.with(|cell| match cell.try_borrow_mut() {
         Ok(mut pool) => {
             let mut scratch = pool.checkout(lp);
-            let out = lp.solve_budgeted_with_options(opts, budget, &mut scratch);
+            let out = lp.solve_with(opts, budget, &mut scratch);
             let stats = scratch.stats();
             pool.checkin(lp, scratch);
             out.map(|sol| (sol, stats))
         }
         Err(_) => {
             let mut scratch = Scratch::new();
-            let out = lp.solve_budgeted_with_options(opts, budget, &mut scratch);
+            let out = lp.solve_with(opts, budget, &mut scratch);
             let stats = scratch.stats();
             out.map(|sol| (sol, stats))
         }
@@ -87,24 +87,11 @@ pub struct RoundedStrip {
 }
 
 /// Runs the scale-by-¼-and-round pipeline targeting load `bound` on every
-/// edge. Returns a `bound`-packable UFPP solution over `ids`.
-pub fn round_scaled_lp(instance: &Instance, ids: &[TaskId], bound: u64) -> RoundedStrip {
-    let lp = build_relaxation(instance, ids);
-    let sol = LP_POOL.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut pool) => {
-            let mut scratch = pool.checkout(&lp);
-            let sol = lp.solve_with_scratch(0, &mut scratch);
-            pool.checkin(&lp, scratch);
-            sol
-        }
-        Err(_) => lp.solve(0),
-    });
-    round_solution(instance, ids, bound, sol)
-}
-
-/// Budget-aware variant of [`round_scaled_lp`]: the LP solve is charged
-/// against `budget` (one `LpPivot` unit per pivot, capped at
-/// `opts.max_pivots` pivots, `0` = automatic) and the fault-injection
+/// edge and returns a `bound`-packable UFPP solution over `ids`.
+///
+/// The LP solve is charged against `budget` (one `LpPivot` unit per
+/// pivot, capped at `opts.max_pivots` pivots, `0` = automatic; pass
+/// [`Budget::unlimited`] for no limit) and the fault-injection
 /// hooks [`Budget::lp_solve_fault`] / [`Budget::refactor_fault`] can
 /// force a non-optimal status.
 ///
@@ -117,7 +104,7 @@ pub fn round_scaled_lp(instance: &Instance, ids: &[TaskId], bound: u64) -> Round
 /// Returns `Err(BudgetExhausted)` when the budget trips mid-solve; a
 /// pivot-limit stop or an injected singular basis is reported in-band
 /// via [`RoundedStrip::lp_status`].
-pub fn round_scaled_lp_budgeted(
+pub fn round_scaled_lp(
     instance: &Instance,
     ids: &[TaskId],
     bound: u64,
@@ -141,8 +128,7 @@ pub fn round_scaled_lp_budgeted(
     Ok(round_solution(instance, ids, bound, lp_sol))
 }
 
-/// Greedy rounding of a fractional point (shared tail of both entry
-/// points).
+/// Greedy rounding of a fractional point.
 fn round_solution(
     instance: &Instance,
     ids: &[TaskId],
@@ -204,6 +190,10 @@ mod tests {
     use super::*;
     use sap_core::{PathNetwork, Task};
 
+    fn round_unlimited(inst: &Instance, ids: &[TaskId], bound: u64) -> RoundedStrip {
+        round_scaled_lp(inst, ids, bound, SimplexOptions::default(), &Budget::unlimited()).unwrap()
+    }
+
     fn band_instance(seed: u64, m: usize, b: u64, n: usize, delta_inv: u64) -> Instance {
         let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
         let mut next = move || {
@@ -230,7 +220,7 @@ mod tests {
         for seed in 0..10 {
             let inst = band_instance(seed, 8, 64, 60, 16);
             let ids = inst.all_ids();
-            let r = round_scaled_lp(&inst, &ids, 32);
+            let r = round_unlimited(&inst, &ids, 32);
             r.solution.validate_packable(&inst, 32).unwrap();
             r.solution.validate(&inst).unwrap();
         }
@@ -242,7 +232,7 @@ mod tests {
         for seed in 0..10 {
             let inst = band_instance(seed + 50, 10, 128, 120, 32);
             let ids = inst.all_ids();
-            let r = round_scaled_lp(&inst, &ids, 64);
+            let r = round_unlimited(&inst, &ids, 64);
             let w = r.solution.weight(&inst) as f64;
             assert!(
                 4.5 * w >= r.lp_value,
@@ -257,7 +247,7 @@ mod tests {
         let net = PathNetwork::uniform(2, 100).unwrap();
         let tasks = vec![Task::of(0, 2, 80, 100), Task::of(0, 2, 10, 1)];
         let inst = Instance::new(net, tasks).unwrap();
-        let r = round_scaled_lp(&inst, &inst.all_ids(), 50);
+        let r = round_unlimited(&inst, &inst.all_ids(), 50);
         assert_eq!(r.solution.tasks, vec![1]);
     }
 
@@ -265,7 +255,7 @@ mod tests {
     fn empty_input() {
         let net = PathNetwork::uniform(2, 10).unwrap();
         let inst = Instance::new(net, vec![]).unwrap();
-        let r = round_scaled_lp(&inst, &[], 5);
+        let r = round_unlimited(&inst, &[], 5);
         assert!(r.solution.is_empty());
         assert_eq!(r.lp_value, 0.0);
     }

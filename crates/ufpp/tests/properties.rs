@@ -3,7 +3,8 @@
 //!
 //! Build with `--features proptest` to raise the iteration counts.
 
-use sap_core::{Instance, PathNetwork, Span, Task, TaskId, UfppSolution};
+use lp_solver::SimplexOptions;
+use sap_core::{Budget, Instance, PathNetwork, Span, Task, TaskId, UfppSolution};
 use sap_gen::Rng64;
 
 const CASES: u64 = if cfg!(feature = "proptest") { 512 } else { 96 };
@@ -106,7 +107,14 @@ fn rounding_respects_bound() {
         let inst = arb_instance(&mut rng);
         let divisor = rng.gen_range(1u64..=4);
         let bound = (inst.network().min_capacity() / divisor).max(1);
-        let r = ufpp::round_scaled_lp(&inst, &inst.all_ids(), bound);
+        let r = ufpp::round_scaled_lp(
+            &inst,
+            &inst.all_ids(),
+            bound,
+            SimplexOptions::default(),
+            &Budget::unlimited(),
+        )
+        .unwrap();
         r.solution.validate_packable(&inst, bound).unwrap();
         r.solution.validate(&inst).unwrap();
     }

@@ -5,7 +5,10 @@
 
 use storage_alloc::prelude::*;
 use storage_alloc::sap_algs::baselines::greedy_sap_best;
-use storage_alloc::sap_algs::{solve_large, solve_medium, solve_small, MediumParams};
+use storage_alloc::lp_solver::SimplexOptions;
+use storage_alloc::sap_algs::{
+    try_solve_large, try_solve_medium_with_stats, try_solve_small, MediumParams,
+};
 use storage_alloc::sap_gen::{generate, CapacityProfile, DemandRegime, GenConfig};
 use storage_alloc::ufpp;
 
@@ -35,11 +38,15 @@ fn main() -> Result<(), SapError> {
 
         let combined = storage_alloc::solve_sap(&inst);
         combined.validate(&inst)?;
-        let small = solve_small(&inst, &ids, SmallAlgo::LpRounding);
+        let unlimited = Budget::unlimited();
+        let opts = SimplexOptions::default();
+        let small = try_solve_small(&inst, &ids, SmallAlgo::LpRounding, opts, 0, &unlimited)?;
+        let small = small.solution;
         small.validate(&inst)?;
-        let medium = solve_medium(&inst, &ids, MediumParams::default());
+        let (medium, _) =
+            try_solve_medium_with_stats(&inst, &ids, MediumParams::default(), 0, &unlimited)?;
         medium.validate(&inst)?;
-        let large = solve_large(&inst, &ids).map(|s| s.weight(&inst)).unwrap_or(0);
+        let large = try_solve_large(&inst, &ids, &unlimited)?.map_or(0, |s| s.weight(&inst));
         let greedy = greedy_sap_best(&inst, &ids);
         let (_, lp) = ufpp::lp_upper_bound(&inst, &ids);
 

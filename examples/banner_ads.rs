@@ -24,7 +24,8 @@ fn main() -> Result<(), SapError> {
         UfppSolution::new(all.clone()).validate(&sep).is_ok()
     );
     println!("  stripe layout of ALL ads exists (SAP-feasible): {}", is_sap_feasible(&sep, &all));
-    let best = solve_exact_sap(&sep, &all, ExactConfig::default()).expect("tiny instance");
+    let best = solve_exact_sap(&sep, &all, ExactConfig::default(), &Budget::unlimited())?
+        .expect("tiny instance");
     println!("  best stripe layout sells {} of {} ads:", best.len(), sep.num_tasks());
     println!("{}", render_solution(&sep, &best, 8));
 

@@ -21,6 +21,7 @@ use storage_alloc::sap_gen::{generate, CapacityProfile, DemandRegime, GenConfig}
 
 fn main() -> Result<(), SapError> {
     println!("{:<8}{:>14}{:>14}{:>14}{:>10}", "seed", "search", "Lemma-13 DP", "column DP", "agree");
+    let unlimited = Budget::unlimited();
     for seed in 0..8u64 {
         // SAP-U with K = 6 so all three solvers apply.
         let instance = generate(
@@ -37,13 +38,13 @@ fn main() -> Result<(), SapError> {
         let ids = instance.all_ids();
 
         let t0 = Instant::now();
-        let search = solve_exact_sap(&instance, &ids, ExactConfig::default())
+        let search = solve_exact_sap(&instance, &ids, ExactConfig::default(), &unlimited)?
             .expect("state budget")
             .weight(&instance);
         let t_search = t0.elapsed();
 
         let t0 = Instant::now();
-        let dp13 = solve_lemma13_dp(&instance, &ids, Lemma13Config::default())
+        let dp13 = solve_lemma13_dp(&instance, &ids, Lemma13Config::default(), &unlimited)?
             .expect("state budget")
             .weight(&instance);
         let t_13 = t0.elapsed();

@@ -31,14 +31,15 @@ fn main() -> Result<(), SapError> {
         instance.network().max_capacity() >> 10,
     );
 
-    // The paper's (9+ε) algorithm, with per-regime statistics.
+    // The paper's (9+ε) algorithm; its report carries the per-arm weights.
     let params = SapParams::default();
-    let (solution, stats) =
-        storage_alloc::sap_algs::combined::solve_with_stats(&instance, &instance.all_ids(), &params);
+    let ids = instance.all_ids();
+    let (solution, report) =
+        storage_alloc::sap_algs::try_solve(&instance, &ids, &params, &Budget::unlimited())?;
     solution.validate(&instance)?;
+    let classified = classify_by_size(&instance, params.delta_small, params.delta_large);
 
     // Baselines.
-    let ids = instance.all_ids();
     let by_weight = greedy_sap(&instance, &ids, GreedyOrder::WeightDesc);
     let by_density = greedy_sap(&instance, &ids, GreedyOrder::DensityDesc);
 
@@ -46,11 +47,12 @@ fn main() -> Result<(), SapError> {
     let (_, lp_bound) = ufpp::lp_upper_bound(&instance, &ids);
 
     println!("\ntask mix: {} small / {} medium / {} large (δ=1/16, δ'=1/2)",
-        stats.classified.small.len(),
-        stats.classified.medium.len(),
-        stats.classified.large.len());
+        classified.small.len(),
+        classified.medium.len(),
+        classified.large.len());
+    let arm = |name| report.arm(name).map_or(0, |a| a.weight);
     println!("regime solutions: small {} | medium {} | large {} → winner: {}",
-        stats.small_weight, stats.medium_weight, stats.large_weight, stats.winner);
+        arm("small"), arm("medium"), arm("large"), report.winner);
 
     println!("\n{:<28}{:>12}{:>12}", "allocator", "weight", "% of LP");
     let row = |name: &str, w: u64| {

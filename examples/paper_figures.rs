@@ -20,7 +20,8 @@ fn main() -> Result<(), SapError> {
         UfppSolution::new(a.all_ids()).validate(&a).is_ok(),
         is_sap_feasible(&a, &a.all_ids()),
     );
-    let best = solve_exact_sap(&a, &a.all_ids(), ExactConfig::default()).expect("tiny");
+    let best = solve_exact_sap(&a, &a.all_ids(), ExactConfig::default(), &Budget::unlimited())?
+        .expect("tiny");
     println!("  best SAP subset ({} of {} tasks):", best.len(), a.num_tasks());
     println!("{}", render_solution(&a, &best, 6));
 
@@ -32,7 +33,8 @@ fn main() -> Result<(), SapError> {
         UfppSolution::new(b.all_ids()).validate(&b).is_ok(),
         is_sap_feasible(&b, &b.all_ids()),
     );
-    let best = solve_exact_sap(&b, &b.all_ids(), ExactConfig::default()).expect("tiny");
+    let best = solve_exact_sap(&b, &b.all_ids(), ExactConfig::default(), &Budget::unlimited())?
+        .expect("tiny");
     println!("  best SAP subset ({} of {}):", best.len(), b.num_tasks());
     println!("{}", render_solution(&b, &best, 6));
 

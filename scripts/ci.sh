@@ -50,6 +50,10 @@
 #      feeding the same lines through batch-mode serve on stdin at both
 #      --workers 1 and --workers 8, and the server must report exactly
 #      three connections served.
+#  13. the benchmark compile gate: `e2ebench/` is a workspace of its own
+#      that builds this crate by path, so `cargo build` above never
+#      compiles it. Checking all its targets here makes an API change the
+#      benchmark depends on fail in CI, not only in the bench pipeline.
 #
 # Run from anywhere inside the repository.
 set -euo pipefail
@@ -258,5 +262,8 @@ for w in 1 8; do
             || { echo "connection $c stream diverges from batch mode at --workers $w" >&2; exit 1; }
     done
 done
+
+echo "==> benchmark compile gate"
+cargo check --release --manifest-path e2ebench/Cargo.toml --all-targets
 
 echo "ci: all gates passed"

@@ -159,9 +159,22 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
             sol
         }
         "greedy" => sap_algs::baselines::greedy_sap_best(&instance, &ids),
-        "small" => sap_algs::solve_small(&instance, &ids, SmallAlgo::LpRounding),
-        "medium" => sap_algs::solve_medium(&instance, &ids, MediumParams::default()),
-        "large" => sap_algs::solve_large(&instance, &ids)
+        // The per-arm algorithms accept no budget flags (checked above),
+        // so `budget` is unlimited here and cannot trip.
+        "small" => {
+            let opts = storage_alloc::lp_solver::SimplexOptions::default();
+            sap_algs::try_solve_small(&instance, &ids, SmallAlgo::LpRounding, opts, 0, &budget)
+                .map_err(|e| e.to_string())?
+                .solution
+        }
+        "medium" => {
+            let params = MediumParams::default();
+            sap_algs::try_solve_medium_with_stats(&instance, &ids, params, 0, &budget)
+                .map_err(|e| e.to_string())?
+                .0
+        }
+        "large" => sap_algs::try_solve_large(&instance, &ids, &budget)
+            .map_err(|e| e.to_string())?
             .ok_or("large-task solver exhausted its budget")?,
         "exact" => {
             if ids.len() > 24 {
@@ -170,7 +183,8 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
                     ids.len()
                 ));
             }
-            sap_algs::solve_exact_sap(&instance, &ids, ExactConfig::default())
+            sap_algs::solve_exact_sap(&instance, &ids, ExactConfig::default(), &budget)
+                .map_err(|e| e.to_string())?
                 .ok_or("exact solver exhausted its state budget")?
         }
         other => return Err(format!("unknown algorithm {other:?}")),

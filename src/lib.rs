@@ -20,9 +20,11 @@
 //!
 //! * [`solve_sap`] — the `(9+ε)`-approximation for general instances
 //!   (Theorem 4);
-//! * [`sap_algs::solve_small`] — `(4+ε)` for δ-small instances (Thm 1);
-//! * [`sap_algs::solve_medium`] — `(2+ε)` for medium instances (Thm 2);
-//! * [`sap_algs::solve_large`] — `2k−1` for `1/k`-large instances (Thm 3);
+//! * [`sap_algs::try_solve_small`] — `(4+ε)` for δ-small instances (Thm 1);
+//! * [`sap_algs::try_solve_medium_with_stats`] — `(2+ε)` for medium
+//!   instances (Thm 2);
+//! * [`sap_algs::try_solve_large`] — `2k−1` for `1/k`-large instances
+//!   (Thm 3);
 //! * [`solve_sap_ring`] — `(10+ε)` on ring networks (Theorem 5);
 //! * [`solve_sap_practical`] — combined ∨ greedy (guarantee kept);
 //! * [`try_solve_sap`] / [`try_solve_sap_practical`] — the same under a
@@ -31,6 +33,9 @@
 //! * [`sap_algs::solve_exact_sap`] — exact reference solver (plus the
 //!   paper's Lemma-13 DP and the Chen et al. SAP-U column DP as
 //!   independent exact cross-checks).
+//!
+//! Every `sap_algs` solver takes a cooperative [`sap_core::Budget`];
+//! pass `Budget::unlimited()` to run one without a limit.
 //!
 //! ## Quickstart
 //!

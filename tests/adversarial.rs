@@ -8,14 +8,18 @@ use storage_alloc::sap_algs::{
 };
 use storage_alloc::sap_gen::{blocker, comb, generate_trace, knapsack_core, staircase_tower, TraceConfig};
 
+fn exact(inst: &Instance, ids: &[TaskId]) -> SapSolution {
+    solve_exact_sap(inst, ids, ExactConfig::default(), &Budget::unlimited())
+        .unwrap()
+        .expect("state budget")
+}
+
 #[test]
 fn blocker_family_exact_values() {
     for field in [4u64, 8, 12] {
         let inst = blocker(field);
         // Exact optimum is the field.
-        let opt = solve_exact_sap(&inst, &inst.all_ids(), ExactConfig::default())
-            .expect("budget")
-            .weight(&inst);
+        let opt = exact(&inst, &inst.all_ids()).weight(&inst);
         assert_eq!(opt, field);
         // Greedy-by-weight falls into the trap.
         let trap = greedy_sap(&inst, &inst.all_ids(), GreedyOrder::WeightDesc);
@@ -31,9 +35,7 @@ fn blocker_family_exact_values() {
 fn knapsack_core_matches_knapsack_solvers() {
     let items = [(6u64, 60u64), (5, 50), (5, 50), (3, 20), (2, 25)];
     let inst = knapsack_core(10, &items);
-    let sap_opt = solve_exact_sap(&inst, &inst.all_ids(), ExactConfig::default())
-        .expect("budget")
-        .weight(&inst);
+    let sap_opt = exact(&inst, &inst.all_ids()).weight(&inst);
     let ks_items: Vec<knapsack::Item> =
         items.iter().map(|&(size, weight)| knapsack::Item { size, weight }).collect();
     let ks_opt = knapsack::solve_exact_by_capacity(&ks_items, 10).weight;
@@ -46,8 +48,7 @@ fn knapsack_core_matches_knapsack_solvers() {
 fn staircase_tower_is_fully_schedulable_and_found() {
     let inst = staircase_tower(6);
     let all = inst.all_ids();
-    let opt = solve_exact_sap(&inst, &all, ExactConfig::default())
-        .expect("budget");
+    let opt = exact(&inst, &all);
     assert_eq!(opt.len(), inst.num_tasks(), "the tower nests completely");
     // Strip-Pack alone also schedules a fair share: every task is exactly
     // ½-large so the small algorithm gets nothing — use combined.

@@ -1,7 +1,7 @@
 //! Budget semantics of the fault-tolerant solve driver (always-on: no
 //! `fault-injection` feature needed).
 //!
-//! * An unlimited budget reproduces the infallible facade exactly.
+//! * An unlimited budget reproduces `solve_sap` exactly.
 //! * Work-unit budgets degrade *deterministically*: same instance, same
 //!   limit → byte-identical solution and report (the work-unit path has
 //!   no wall-clock branch).

@@ -86,8 +86,13 @@ fn fig3_clipping_preserves_optimum() {
     let ids = inst.all_ids();
     let (clipped, map) = clip_to_band(&inst, &ids, 8, 16).unwrap();
     assert_eq!(clipped.network().capacities(), &[8, 16, 9, 14]);
-    let opt_orig = solve_exact_sap(&inst, &ids, ExactConfig::default()).unwrap();
-    let opt_clip = solve_exact_sap(&clipped, &clipped.all_ids(), ExactConfig::default()).unwrap();
+    let exact = |inst: &Instance, ids: &[TaskId]| {
+        solve_exact_sap(inst, ids, ExactConfig::default(), &Budget::unlimited())
+            .unwrap()
+            .unwrap()
+    };
+    let opt_orig = exact(&inst, &ids);
+    let opt_clip = exact(&clipped, &clipped.all_ids());
     assert_eq!(opt_orig.weight(&inst), opt_clip.weight(&clipped));
     // And the clipped solution lifts back verbatim.
     let lifted = SapSolution::from_pairs(

@@ -52,7 +52,8 @@ fn small_pipeline_stagewise_bounds() {
     assert!(lp_sol.x.iter().all(|&x| (-1e-9..=1.0 + 1e-9).contains(&x)));
     // Stage B: rounding to half the minimum capacity.
     let bound = inst.network().min_capacity() / 2;
-    let rounded = ufpp::round_scaled_lp(&inst, &ids, bound);
+    let opts = storage_alloc::lp_solver::SimplexOptions::default();
+    let rounded = ufpp::round_scaled_lp(&inst, &ids, bound, opts, &Budget::unlimited()).unwrap();
     rounded.solution.validate_packable(&inst, bound).unwrap();
     // Stage C: strip packing the rounded solution.
     let strip = dsa::pack_into_strip(&inst, &rounded.solution.tasks, bound);

@@ -3,15 +3,18 @@
 //! these tests assert the *bounds* so regressions fail loudly).
 
 use storage_alloc::prelude::*;
+use storage_alloc::lp_solver::SimplexOptions;
 use storage_alloc::sap_algs::{
-    self, is_sap_feasible, solve_exact_sap, solve_large, solve_medium, solve_small,
-    ExactConfig, MediumParams,
+    self, is_sap_feasible, solve_exact_sap, try_solve_large, try_solve_medium_with_stats,
+    try_solve_small, ExactConfig, MediumParams,
 };
+use storage_alloc::sap_core::Budget;
 use storage_alloc::sap_gen::{generate, CapacityProfile, DemandRegime, GenConfig};
 use storage_alloc::ufpp;
 
 fn opt(inst: &Instance) -> u64 {
-    solve_exact_sap(inst, &inst.all_ids(), ExactConfig::default())
+    solve_exact_sap(inst, &inst.all_ids(), ExactConfig::default(), &Budget::unlimited())
+        .unwrap()
         .expect("state budget")
         .weight(inst)
 }
@@ -32,7 +35,11 @@ fn theorem1_small_ratio_vs_lp() {
         };
         let inst = generate(&cfg, seed);
         let ids = inst.all_ids();
-        let sol = solve_small(&inst, &ids, SmallAlgo::LpRounding);
+        let opts = SimplexOptions::default();
+        let sol =
+            try_solve_small(&inst, &ids, SmallAlgo::LpRounding, opts, 0, &Budget::unlimited())
+                .unwrap()
+                .solution;
         sol.validate(&inst).unwrap();
         let (_, lp) = ufpp::lp_upper_bound(&inst, &ids);
         let w = sol.weight(&inst) as f64;
@@ -58,7 +65,9 @@ fn theorem2_medium_ratio_vs_exact() {
         };
         let inst = generate(&cfg, seed + 100);
         let ids = inst.all_ids();
-        let sol = solve_medium(&inst, &ids, MediumParams::default());
+        let params = MediumParams::default();
+        let (sol, _) =
+            try_solve_medium_with_stats(&inst, &ids, params, 0, &Budget::unlimited()).unwrap();
         sol.validate(&inst).unwrap();
         let w = sol.weight(&inst);
         let o = opt(&inst);
@@ -82,7 +91,7 @@ fn theorem3_large_ratio_vs_exact() {
         };
         let inst = generate(&cfg, seed + 200);
         let ids = inst.all_ids();
-        let sol = solve_large(&inst, &ids).expect("budget");
+        let sol = try_solve_large(&inst, &ids, &Budget::unlimited()).unwrap().expect("budget");
         sol.validate(&inst).unwrap();
         let w = sol.weight(&inst);
         let o = opt(&inst);
@@ -150,13 +159,12 @@ fn lemma3_best_of_split_dominates_components() {
         max_weight: 50,
     };
     let inst = generate(&cfg, 500);
-    let (sol, stats) = sap_algs::combined::solve_with_stats(
-        &inst,
-        &inst.all_ids(),
-        &SapParams::default(),
-    );
+    let params = SapParams::default();
+    let (sol, report) =
+        sap_algs::try_solve(&inst, &inst.all_ids(), &params, &Budget::unlimited()).unwrap();
     let w = sol.weight(&inst);
-    assert_eq!(w, stats.small_weight.max(stats.medium_weight).max(stats.large_weight));
+    let arm = |name| report.arm(name).expect("arm ran").weight;
+    assert_eq!(w, arm("small").max(arm("medium")).max(arm("large")));
 }
 
 /// The exact solver agrees with the UFPP exact solver on instances where
