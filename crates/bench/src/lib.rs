@@ -27,10 +27,6 @@
 
 pub mod experiments;
 pub mod lp_bench;
-pub mod net_bench;
-pub mod obs_bench;
-pub mod overload_bench;
-pub mod serve_bench;
 pub mod suite;
 pub mod table;
 pub mod workloads;

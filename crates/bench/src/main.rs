@@ -4,7 +4,7 @@
 //! cargo run -p sap-bench --release -- --suite core --out BENCH_pr4.json
 //! cargo run -p sap-bench --release -- --suite core --smoke
 //! cargo run -p sap-bench --release -- --suite core --workers 1,2,8
-//! cargo run -p sap-bench --release -- --suite serve --smoke
+//! cargo run -p sap-bench --release -- --suite lp --smoke
 //! ```
 //!
 //! `--smoke` shrinks the workloads to CI scale; `--out` writes the JSON
@@ -53,36 +53,12 @@ fn main() {
             let errors = sap_bench::suite::validate_report(&doc);
             (doc, errors)
         }
-        "serve" => {
-            let doc = sap_bench::serve_bench::run_serve(&config);
-            let errors = sap_bench::serve_bench::validate_serve_report(&doc);
-            (doc, errors)
-        }
-        "overload" => {
-            let doc = sap_bench::overload_bench::run_overload(&config);
-            let errors = sap_bench::overload_bench::validate_overload_report(&doc);
-            (doc, errors)
-        }
-        "obs" => {
-            let doc = sap_bench::obs_bench::run_obs(&config);
-            let errors = sap_bench::obs_bench::validate_obs_report(&doc);
-            (doc, errors)
-        }
         "lp" => {
             let doc = sap_bench::lp_bench::run_lp(&config);
             let errors = sap_bench::lp_bench::validate_lp_report(&doc);
             (doc, errors)
         }
-        "net" => {
-            let doc = sap_bench::net_bench::run_net(&config);
-            let errors = sap_bench::net_bench::validate_net_report(&doc);
-            (doc, errors)
-        }
-        other => {
-            usage(&format!(
-                "unknown suite {other:?} (available: core, serve, overload, obs, lp, net)"
-            ))
-        }
+        other => usage(&format!("unknown suite {other:?} (available: core, lp)")),
     };
     if !errors.is_empty() {
         for e in &errors {
@@ -102,7 +78,7 @@ fn main() {
 fn usage(msg: &str) -> ! {
     eprintln!("sap-bench: {msg}");
     eprintln!(
-        "usage: sap-bench [--suite core|serve|overload|obs|lp|net] [--smoke] [--workers 1,8] [--out report.json]"
+        "usage: sap-bench [--suite core|lp] [--smoke] [--workers 1,8] [--out report.json]"
     );
     std::process::exit(2);
 }

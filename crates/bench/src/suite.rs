@@ -18,9 +18,9 @@
 //!   across worker counts.
 //! * **`mwis_large`** — ½-large instances solved by the exact rectangle
 //!   MWIS, whose hash-consed memo keys are gauged by the deterministic
-//!   `mwis.allocs` / `mwis.allocs_legacy` telemetry counters (no global
-//!   allocator hooks; the gauges count buffer acquisitions, so they are
-//!   identical on every machine).
+//!   `mwis.allocs` telemetry counter (no global allocator hooks; the
+//!   gauge counts buffer acquisitions, so it is identical on every
+//!   machine).
 //!
 //! Wall-clock numbers are machine-dependent and recorded for honesty —
 //! `hardware_threads` is part of the report so a 1-CPU container's flat
@@ -177,26 +177,16 @@ pub fn run_core(config: &SuiteConfig) -> String {
             .unwrap_or_default();
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
         let weight = inst.total_weight(&chosen);
-        let allocs = rec.handle().counter("mwis.allocs");
-        let legacy = rec.handle().counter("mwis.allocs_legacy");
-        let reduction_pct = if legacy == 0 {
-            0.0
-        } else {
-            100.0 * (1.0 - allocs as f64 / legacy as f64)
-        };
         workloads.push(format!(
             "{{\"id\":\"large_seed{}\",\"edges\":{},\"tasks\":{},\"work_units\":{},\
-             \"wall_ms\":{},\"weight\":{},\"allocs\":{},\"allocs_legacy\":{},\
-             \"alloc_reduction_pct\":{}}}",
+             \"wall_ms\":{},\"weight\":{},\"allocs\":{}}}",
             seed,
             inst.num_edges(),
             inst.num_tasks(),
             budget.consumed(),
             fmt_ms(wall_ms),
             weight,
-            allocs,
-            legacy,
-            fmt_ms(reduction_pct)
+            rec.handle().counter("mwis.allocs"),
         ));
     }
     families.push(format!(
@@ -215,6 +205,11 @@ pub fn run_core(config: &SuiteConfig) -> String {
     )
 }
 
+/// `mwis.allocs` of the `--smoke` MWIS workloads `large_seed0` and
+/// `large_seed1`. The gauge is deterministic, so an exact pin fails on
+/// any allocation regression in the memo-key scheme.
+pub const SMOKE_MWIS_ALLOCS: [u64; 2] = [55, 52];
+
 /// Validates a suite report document against the `sap-bench/1` schema and
 /// its invariants. Returns the list of violations (empty = valid).
 ///
@@ -225,8 +220,9 @@ pub fn run_core(config: &SuiteConfig) -> String {
 ///   every run reports the same `work_units` as the workload total (the
 ///   fan-out must not create or lose metered work), and `deterministic`
 ///   is `true`;
-/// * the MWIS family's interned allocation gauge shows the promised
-///   ≥ 20% reduction against the legacy model on every workload.
+/// * in a `--smoke` report, the MWIS family's allocation gauge equals
+///   the pinned [`SMOKE_MWIS_ALLOCS`] exactly (any allocation regression
+///   in the memo-key scheme fails the gate).
 ///
 /// Wall-clock fields are deliberately *not* thresholded: they vary with
 /// the machine (see `hardware_threads`) and thresholding them would make
@@ -281,16 +277,16 @@ pub fn validate_report(doc: &str) -> Vec<String> {
             if workloads.is_empty() {
                 errors.push("mwis_large has no workloads".to_string());
             }
-            for w in workloads {
+            let smoke = v.get("smoke").and_then(|s| s.as_bool()) == Some(true);
+            for (i, w) in workloads.iter().enumerate() {
                 let id = w.get("id").and_then(|s| s.as_str()).unwrap_or("?");
-                let pct = w
-                    .get("alloc_reduction_pct")
-                    .and_then(|p| p.as_f64())
-                    .unwrap_or(0.0);
-                if pct < 20.0 {
-                    errors.push(format!(
-                        "{id}: alloc reduction {pct:.1}% below the 20% bar"
-                    ));
+                let pinned = SMOKE_MWIS_ALLOCS.get(i).filter(|_| smoke);
+                match (w.get("allocs").and_then(|a| a.as_u64()), pinned) {
+                    (None, _) => errors.push(format!("{id}: allocs missing")),
+                    (Some(got), Some(&want)) if got != want => errors.push(format!(
+                        "{id}: mwis.allocs {got} differs from the pinned {want}"
+                    )),
+                    _ => {}
                 }
             }
         }
@@ -307,6 +303,8 @@ mod tests {
         let config = SuiteConfig { smoke: true, workers: vec![1, 2] };
         let doc = run_core(&config);
         let errors = validate_report(&doc);
+        // A clean report includes `mwis.allocs` equal to the pinned
+        // SMOKE_MWIS_ALLOCS (55 / 52 for seeds 0 / 1).
         assert!(errors.is_empty(), "violations: {errors:?}");
     }
 
@@ -314,15 +312,15 @@ mod tests {
     fn validator_rejects_broken_documents() {
         assert!(!validate_report("{").is_empty());
         assert!(!validate_report("{\"schema\":\"sap-bench/1\"}").is_empty());
-        let tampered = "{\"schema\":\"sap-bench/1\",\"families\":[\
+        let tampered = "{\"schema\":\"sap-bench/1\",\"smoke\":true,\"families\":[\
             {\"name\":\"multi_strata_small\",\"workloads\":[\
               {\"id\":\"w\",\"work_units\":5,\"deterministic\":false,\
                \"runs\":[{\"workers\":1,\"work_units\":4}]}]},\
             {\"name\":\"mwis_large\",\"workloads\":[\
-              {\"id\":\"l\",\"alloc_reduction_pct\":3.0}]}]}";
+              {\"id\":\"l\",\"allocs\":3}]}]}";
         let errors = validate_report(tampered);
         assert!(errors.iter().any(|e| e.contains("byte-identical")));
         assert!(errors.iter().any(|e| e.contains("not conserved")));
-        assert!(errors.iter().any(|e| e.contains("20% bar")));
+        assert!(errors.iter().any(|e| e.contains("pinned 55")));
     }
 }

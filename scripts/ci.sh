@@ -3,18 +3,21 @@
 #
 #   1. release build of the default workspace (path-only dependencies,
 #      so this succeeds with no registry and no lockfile),
-#   2. the full test suite,
+#   2. the root package's test suite, then every workspace member's
+#      tests (`cargo test -q` alone covers only the root package),
 #   3. the chaos suite: the same tests plus deterministic fault injection
 #      (worker panics, failed LP solves, injected budget exhaustion),
 #   4. the in-repo static-analysis pass with every lint denied,
 #   5. the telemetry determinism gate: the same instance solved twice with
 #      `--telemetry=json` must export byte-identical phase trees.
-#   6. the bench smoke gate: the hermetic bench suites in --smoke mode must
-#      emit schema-valid reports whose machine-independent invariants hold
-#      (work-unit conservation across worker counts, byte-identical
-#      parallel runs, the MWIS allocation-reduction bar, and the serve
-#      suite's exact cache arithmetic). No wall-clock thresholds: timings
-#      vary by machine, the invariants must not.
+#   6. the bench smoke gate: the solver-level `core` suite in --smoke mode
+#      must emit a schema-valid report whose machine-independent
+#      invariants hold (work-unit conservation across worker counts,
+#      byte-identical parallel runs, the exact pinned MWIS allocation
+#      counts). No wall-clock thresholds: timings vary by machine, the
+#      invariants must not. The served path's invariants (cache
+#      arithmetic, admission ladder, obs plane, net conservation) are
+#      root integration tests and run in step 2.
 #   7. the serve determinism gate: the same NDJSON request stream (valid,
 #      malformed, and duplicate lines mixed) fed through `sap serve` at
 #      --workers 1 and --workers 8 must produce byte-identical stdout.
@@ -66,6 +69,9 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test --workspace -q"
+cargo test --workspace -q
+
 echo "==> cargo test -q --features fault-injection"
 cargo test -q --features fault-injection
 
@@ -87,14 +93,6 @@ diff "$tmpdir/tele-a.json" "$tmpdir/tele-b.json" \
 echo "==> bench smoke gate"
 cargo run --release -p sap-bench -- --suite core --smoke --workers 1,2 \
     --out "$tmpdir/bench-smoke.json"
-cargo run --release -p sap-bench -- --suite serve --smoke --workers 1,2 \
-    --out "$tmpdir/bench-serve-smoke.json"
-cargo run --release -p sap-bench -- --suite overload --smoke --workers 1,2 \
-    --out "$tmpdir/bench-overload-smoke.json"
-cargo run --release -p sap-bench -- --suite obs --smoke --workers 1,2 \
-    --out "$tmpdir/bench-obs-smoke.json"
-cargo run --release -p sap-bench -- --suite net --smoke --workers 1,2 \
-    --out "$tmpdir/bench-net-smoke.json"
 
 echo "==> serve determinism gate"
 # Each pretty-printed instance is flattened to one NDJSON line (instance

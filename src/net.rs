@@ -499,6 +499,11 @@ pub fn run_server(opts: &ServeOptions, net: &NetOptions) -> Result<NetSummary, S
         let conn_net = net.clone();
         let conn_cache = crate::serve::SharedCache::clone(&cache);
         let conn_summary = Arc::clone(&summary);
+        // Drop the handles of connections that already finished: each
+        // exited but never-joined thread keeps its stack until joined or
+        // detached, so an unbounded server would otherwise grow without
+        // limit. A finished thread has already absorbed its totals.
+        handles.retain(|h| !h.is_finished());
         handles.push(thread::spawn(move || {
             let (totals, stats) = serve_conn(stream, conn_opts, &conn_net, conn_cache);
             lock_summary(&conn_summary).absorb(&totals, &stats);

@@ -28,7 +28,7 @@ fn workload(seed: u64, regime: DemandRegime) -> Instance {
 }
 
 #[test]
-fn unlimited_budget_matches_infallible_facade() {
+fn unlimited_budget_matches_solve_sap() {
     for seed in 0..4 {
         let inst = workload(seed, DemandRegime::Mixed);
         let plain = solve_sap(&inst);
@@ -155,10 +155,10 @@ fn starved_lp_routes_small_arm_to_greedy_and_reports_lp_non_optimal() {
 }
 
 #[test]
-fn infallible_facades_are_untouched_by_default_params() {
-    // `solve_sap` / `solve_sap_practical` are now wrappers over the
-    // budgeted driver; their contract (feasible, practical ≥ combined)
-    // must be unchanged.
+fn solve_sap_wrappers_are_feasible_and_practical_dominates() {
+    // The crate-root `solve_sap` / `solve_sap_practical` wrap the
+    // budgeted driver with an unlimited budget; their contract is a
+    // feasible solution, with practical ≥ combined.
     let inst = workload(6, DemandRegime::Mixed);
     let combined = solve_sap(&inst);
     combined.validate(&inst).unwrap();

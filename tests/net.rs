@@ -259,6 +259,23 @@ fn net_telemetry_counters_are_exported() {
         assert!(stderr.contains(needle), "stderr missing {needle}:\n{stderr}");
     }
     assert!(stderr.contains("net: 1 conns"), "{stderr}");
+    assert!(stderr.contains("(2 ok, 0 err, 0 shed, 0 oversized)"), "{stderr}");
+}
+
+#[test]
+fn sequential_connections_are_all_served() {
+    // Eight back-to-back connections on one server: every finished
+    // connection thread is reaped before the next is spawned, and each
+    // one's totals still reach the shutdown summary.
+    let line = format!("{}\n", inst_a());
+    let expected = batch_reference(&[], line.as_bytes());
+    let server = spawn_server("sequential", &["--max-conns", "8"]);
+    for i in 0..8 {
+        let got = converse(server.addr, &[line.as_bytes()], Duration::ZERO);
+        assert_eq!(got, expected, "connection {i} diverged from batch mode");
+    }
+    let stderr = finish_server(server);
+    assert!(stderr.contains("net: 8 conns, 8 lines in / 8 responses out (8 ok,"), "{stderr}");
 }
 
 #[test]

@@ -87,12 +87,26 @@ fn snapshot_stream_is_byte_identical_across_worker_widths() {
 #[test]
 fn snapshot_stream_is_byte_identical_across_cache_warmth() {
     let batches = overload_batches(4);
-    let (base_resp, base_snap, _) = run_with_snapshots(overload_opts(1, 64), &batches);
+    let (base_resp, base_snap, base_engine) = run_with_snapshots(overload_opts(1, 64), &batches);
     // cache_size 0 disables the cross-batch cache entirely: every
     // request re-solves, yet the snapshot stream must not move.
-    let (resp, snap, _) = run_with_snapshots(overload_opts(1, 0), &batches);
+    let (resp, snap, engine) = run_with_snapshots(overload_opts(1, 0), &batches);
     assert_eq!(resp, base_resp, "cold-cache responses diverged");
     assert_eq!(snap, base_snap, "cold-cache snapshots diverged");
+    let trace = |e: &ServeEngine| {
+        chrome_trace(e.aggregator().unwrap().profile(), TraceClock::WorkUnits)
+    };
+    assert_eq!(trace(&engine), trace(&base_engine), "cold-cache trace diverged");
+}
+
+#[test]
+fn obs_plane_never_changes_a_response() {
+    let batches = overload_batches(4);
+    let (observed, _, _) = run_with_snapshots(overload_opts(1, 64), &batches);
+    let plain = ServeOptions { obs: false, snapshot_every: 0, ..overload_opts(1, 64) };
+    let (unobserved, snaps, engine) = run_with_snapshots(plain, &batches);
+    assert!(snaps.is_empty() && engine.aggregator().is_none());
+    assert_eq!(observed, unobserved, "turning the obs plane on changed a response");
 }
 
 #[test]
@@ -159,6 +173,12 @@ fn aggregator_work_totals_equal_fold_of_response_reports() {
     ];
     assert_eq!(got, expected, "aggregator work totals must equal the response-report fold");
     assert!(expected.iter().sum::<u64>() > 0, "stream must meter nonzero work");
+    // The aggregator's request counters agree with the engine's own,
+    // and the response kinds partition the stream.
+    let stats = &engine.stats;
+    assert_eq!(agg.counter("obs.requests"), stats.requests);
+    assert_eq!(agg.counter("obs.ok"), stats.ok);
+    assert_eq!(stats.ok + stats.errors + stats.shed, stats.requests);
     // The stream mixes every response class; the conservation claim is
     // only interesting if it actually did.
     assert!(agg.counter("obs.ok") > 0);

@@ -13,6 +13,7 @@ use std::process::{Command, Stdio};
 
 use storage_alloc::io::{InstanceDto, JsonDto, SolutionDto};
 use storage_alloc::json;
+use storage_alloc::sap_gen::{generate, CapacityProfile, DemandRegime, GenConfig};
 use storage_alloc::serve::{ServeAlgo, ServeEngine, ServeOptions};
 
 fn inst_a() -> String {
@@ -74,6 +75,7 @@ fn output_is_byte_identical_cold_vs_warm() {
     // instance re-misses on replay: 4 cold misses + 1 warm re-miss.
     assert_eq!(engine.stats.cache_hits, 7);
     assert_eq!(engine.stats.cache_misses, 5);
+    assert_eq!(engine.stats.cache_evictions, 0);
 }
 
 #[test]
@@ -298,6 +300,82 @@ fn tenantless_requests_bypass_quotas_but_not_capacity() {
     assert_eq!(adm.degraded_greedy, 1);
     assert_eq!(adm.tenant_throttled, 0);
     assert_eq!(engine.admission_stats().shed_quota, 0);
+}
+
+/// Three batches at offered-load `level`: per batch, `level` requests
+/// from each of three tenants plus one untenanted control, all declaring
+/// 60 work units. Every line is a distinct generated instance, so
+/// in-batch dedup never hides a solve.
+fn ladder_stream(level: usize) -> Vec<Vec<String>> {
+    let mut seed = 9000;
+    let mut line = |tenant: Option<&str>| {
+        seed += 1;
+        let config = GenConfig {
+            num_edges: 6,
+            num_tasks: 12,
+            profile: CapacityProfile::Random { lo: 16, hi: 64 },
+            regime: DemandRegime::Mixed,
+            max_span: 4,
+            max_weight: 30,
+        };
+        let instance = InstanceDto::from_instance(&generate(&config, seed)).to_json_string();
+        let tenant = tenant.map_or(String::new(), |t| format!(r#","tenant":"{t}""#));
+        format!(r#"{{"instance":{instance},"work_units":60{tenant}}}"#)
+    };
+    (0..3)
+        .map(|_| {
+            let mut batch = Vec::new();
+            for tenant in ["alpha", "beta", "gamma"] {
+                for _ in 0..level {
+                    batch.push(line(Some(tenant)));
+                }
+            }
+            batch.push(line(None));
+            batch
+        })
+        .collect()
+}
+
+#[test]
+fn offered_load_ladder_walks_admission_then_sheds_monotonically() {
+    // Pool 600/tick, quota 150/tick (burst 300), cost 60: as the level
+    // rises the stream crosses the tenant refill, the tenant burst and
+    // the global pool in turn, so the levels walk the whole ladder.
+    let opts = ServeOptions {
+        max_inflight_units: Some(600),
+        tenant_quota: Some(150),
+        cache_size: 0,
+        ..Default::default()
+    };
+    // (requests, ok, shed, lemma13, greedy, shed_quota, shed_capacity)
+    // per level; level 1 is fully admitted with no degradation.
+    let pinned = [
+        (1, (12, 12, 0, 0, 0, 0, 0)),
+        (4, (39, 36, 3, 8, 1, 0, 3)),
+        (8, (75, 37, 38, 7, 4, 26, 12)),
+    ];
+    let mut prev_shed = 0;
+    for (level, counts) in pinned {
+        let (_, engine) = run_engine(opts.clone(), &ladder_stream(level));
+        let (stats, adm) = (&engine.stats, engine.admission_stats());
+        let got = (
+            stats.requests,
+            stats.ok,
+            stats.shed,
+            adm.degraded_lemma13,
+            adm.degraded_greedy,
+            adm.shed_quota,
+            adm.shed_capacity,
+        );
+        assert_eq!(got, counts, "level {level}");
+        assert_eq!(stats.ok + stats.errors + stats.shed, stats.requests, "level {level}");
+        assert_eq!(stats.errors, 0, "level {level}: errors in a well-formed stream");
+        assert_eq!(stats.shed, adm.shed_quota + adm.shed_capacity, "level {level}");
+        assert_eq!(adm.admitted + adm.shed_quota + adm.shed_capacity, stats.requests);
+        assert!(stats.shed >= prev_shed, "level {level}: shed fell as load rose");
+        prev_shed = stats.shed;
+    }
+    assert!(prev_shed > 0, "the top level must shed");
 }
 
 #[test]
