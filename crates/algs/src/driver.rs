@@ -64,7 +64,6 @@ pub fn try_solve(
 
     // One coarse unit for orchestration; also the anchor for injected
     // `Driver`-class exhaustion before any arm starts.
-    budget.tick(CheckpointClass::Driver, 1);
     let dispatch = budget.checkpoint(CheckpointClass::Driver, 1);
 
     let mut arms: Vec<ArmRun> = Vec::new();

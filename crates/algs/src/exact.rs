@@ -88,7 +88,6 @@ impl Search<'_> {
         if self.exhausted {
             return;
         }
-        self.budget.tick(CheckpointClass::DpRow, 1);
         if self.budget.checkpoint(CheckpointClass::DpRow, 1).is_err() {
             // Unwind the whole search; the caller maps this to
             // Err(BudgetExhausted), so the partial best is never used.

@@ -103,7 +103,6 @@ pub fn solve_lemma13_dp(
     for e in 0..m {
         let mut cur: BTreeMap<State, (u64, State, Vec<Placement>)> = BTreeMap::new();
         for (state, (w, _, _)) in &prev {
-            budget.tick(CheckpointClass::DpRow, 1);
             budget.checkpoint(CheckpointClass::DpRow, 1)?;
             // Tasks leaving before edge e keep nothing; survivors persist.
             let survivors: State = state

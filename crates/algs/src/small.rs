@@ -118,7 +118,6 @@ fn pack_stratum(
 ) -> SapResult<(SapSolution, bool)> {
     let phase = budget.telemetry().span("stratum");
     phase.observe("members", members.len() as u64);
-    budget.tick(CheckpointClass::Driver, 1);
     budget.checkpoint(CheckpointClass::Driver, 1)?;
     if t == 0 {
         return Ok((SapSolution::empty(), true));

@@ -31,7 +31,7 @@ use std::time::Instant;
 use lp_solver::{solve_dense, LpProblem, LpStatus, Scratch, SimplexOptions};
 use sap_algs::{try_solve, SapParams};
 use sap_core::budget::Budget;
-use sap_core::{Instance, Recorder, SpanData};
+use sap_core::{Instance, ObsNode, Recorder};
 use sap_gen::{generate, CapacityProfile, DemandRegime, GenConfig, Rng64};
 
 use crate::suite::SuiteConfig;
@@ -126,9 +126,9 @@ struct DriverSample {
 
 /// Sums the counter `name` over the whole span tree (the `lp.*` counters
 /// live under `small → stratum → lp.solve`, not at the root).
-fn deep_counter(node: &SpanData, name: &str) -> u64 {
-    let own = node.counters.iter().find(|(k, _)| *k == name).map_or(0, |&(_, v)| v);
-    node.children.iter().fold(own, |acc, c| acc.saturating_add(deep_counter(c, name)))
+fn deep_counter(node: &ObsNode, name: &str) -> u64 {
+    let own = node.counters.get(name).copied().unwrap_or(0);
+    node.children.values().fold(own, |acc, c| acc.saturating_add(deep_counter(c, name)))
 }
 
 fn run_driver(inst: &Instance, workers: usize) -> DriverSample {

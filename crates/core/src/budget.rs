@@ -15,6 +15,11 @@
 //! the sequence of checkpoints executed, so two runs with the same
 //! instance and the same work-unit limit degrade identically.
 //!
+//! Every checkpoint also attributes its units to the budget's telemetry
+//! phase ([`Budget::with_telemetry`]) before it checks any limit, so the
+//! per-phase work in a telemetry export equals the budget meter by
+//! construction — including the units of a checkpoint that trips.
+//!
 //! The [`SolveReport`] returned alongside every driver solution records
 //! per-arm outcomes, fired fallbacks and budget consumption. It contains
 //! no timing fields, so reports from deterministic runs are byte-identical.
@@ -31,6 +36,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::error::{SapError, SapResult};
+use crate::json::Json;
 use crate::telemetry::Telemetry;
 
 /// Where in an algorithm a [`Budget::checkpoint`] call sits.
@@ -121,12 +127,13 @@ impl WorkProfile {
             .fold(0u64, |acc, &c| acc.saturating_add(self.get(c)))
     }
 
-    /// Deterministic JSON object fragment, all four classes in stable
-    /// order.
-    fn to_json(self) -> String {
-        format!(
-            "{{\"lp_pivot\":{},\"dp_row\":{},\"pack_sweep\":{},\"driver\":{}}}",
-            self.lp_pivot, self.dp_row, self.pack_sweep, self.driver
+    /// Deterministic JSON object, all four classes in stable order.
+    pub fn to_json(&self) -> Json {
+        Json::Object(
+            CheckpointClass::ALL
+                .iter()
+                .map(|&c| (c.as_str().into(), Json::UInt(self.get(c))))
+                .collect(),
         )
     }
 }
@@ -218,6 +225,13 @@ impl FaultPlan {
     }
 }
 
+/// The fault plan a [`Budget`] carries: a [`FaultPlan`] with the
+/// `fault-injection` feature, nothing without it.
+#[cfg(feature = "fault-injection")]
+type Faults = FaultPlan;
+#[cfg(not(feature = "fault-injection"))]
+type Faults = ();
+
 /// Cooperative execution budget shared down one solver call chain.
 ///
 /// A budget combines three independent limits:
@@ -242,8 +256,7 @@ pub struct Budget {
     by_class: [AtomicU64; 4],
     cancelled: Arc<AtomicBool>,
     tele: Telemetry,
-    #[cfg(feature = "fault-injection")]
-    fault: FaultPlan,
+    fault: Faults,
     #[cfg(feature = "fault-injection")]
     lp_solves: AtomicU64,
     #[cfg(feature = "fault-injection")]
@@ -260,16 +273,33 @@ impl Budget {
     /// A budget with no deadline and no work-unit limit. Checkpoints only
     /// observe the cancellation flag.
     pub fn unlimited() -> Budget {
+        Budget::from_parts(
+            None,
+            u64::MAX,
+            Arc::new(AtomicBool::new(false)),
+            Telemetry::off(),
+            Faults::default(),
+        )
+    }
+
+    /// The one constructor: the given limits, flag, telemetry handle and
+    /// fault plan, with every counter at zero.
+    fn from_parts(
+        deadline: Option<Instant>,
+        work_limit: u64,
+        cancelled: Arc<AtomicBool>,
+        tele: Telemetry,
+        fault: Faults,
+    ) -> Budget {
         Budget {
-            deadline: None,
-            work_limit: u64::MAX,
+            deadline,
+            work_limit,
             consumed: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
             by_class: std::array::from_fn(|_| AtomicU64::new(0)),
-            cancelled: Arc::new(AtomicBool::new(false)),
-            tele: Telemetry::off(),
-            #[cfg(feature = "fault-injection")]
-            fault: FaultPlan::default(),
+            cancelled,
+            tele,
+            fault,
             #[cfg(feature = "fault-injection")]
             lp_solves: AtomicU64::new(0),
             #[cfg(feature = "fault-injection")]
@@ -310,21 +340,19 @@ impl Budget {
     /// parallel — each arm trips based only on its own work, while a
     /// deadline trip in any arm still cancels the siblings.
     pub fn child(&self) -> Budget {
-        Budget {
-            deadline: self.deadline,
-            work_limit: self.work_limit,
-            consumed: AtomicU64::new(0),
-            checkpoints: AtomicU64::new(0),
-            by_class: std::array::from_fn(|_| AtomicU64::new(0)),
-            cancelled: Arc::clone(&self.cancelled),
-            tele: self.tele.clone(),
-            #[cfg(feature = "fault-injection")]
-            fault: self.fault,
-            #[cfg(feature = "fault-injection")]
-            lp_solves: AtomicU64::new(0),
-            #[cfg(feature = "fault-injection")]
-            refactors: AtomicU64::new(0),
-        }
+        self.sibling(self.work_limit)
+    }
+
+    /// A fresh-counter budget sharing this one's deadline, cancellation
+    /// flag, telemetry handle and fault plan, limited to `work_limit`.
+    fn sibling(&self, work_limit: u64) -> Budget {
+        Budget::from_parts(
+            self.deadline,
+            work_limit,
+            Arc::clone(&self.cancelled),
+            self.tele.clone(),
+            self.fault,
+        )
     }
 
     /// Splits the budget's *remaining* work units into `n` fixed per-item
@@ -340,7 +368,7 @@ impl Budget {
     /// Each child has fresh counters and a fresh LP-solve fault counter
     /// (fault addressing becomes per-item, still deterministic), shares
     /// the cancellation flag, and carries the same telemetry handle, so
-    /// ticks from any child land on the same phase node. Pair with
+    /// every child's checkpoints land on the same phase node. Pair with
     /// [`Budget::absorb`] to fold the children's meters back into this
     /// budget — [`sap_core::map_reduce_isolated`](crate::map_reduce_isolated)
     /// does both.
@@ -358,21 +386,7 @@ impl Budget {
                     let extra = u64::from((i as u64) < remaining % n as u64);
                     remaining / n as u64 + extra
                 };
-                Budget {
-                    deadline: self.deadline,
-                    work_limit: share,
-                    consumed: AtomicU64::new(0),
-                    checkpoints: AtomicU64::new(0),
-                    by_class: std::array::from_fn(|_| AtomicU64::new(0)),
-                    cancelled: Arc::clone(&self.cancelled),
-                    tele: self.tele.clone(),
-                    #[cfg(feature = "fault-injection")]
-                    fault: self.fault,
-                    #[cfg(feature = "fault-injection")]
-                    lp_solves: AtomicU64::new(0),
-                    #[cfg(feature = "fault-injection")]
-                    refactors: AtomicU64::new(0),
-                }
+                self.sibling(share)
             })
             .collect()
     }
@@ -394,10 +408,11 @@ impl Budget {
         }
     }
 
-    /// Attaches a telemetry handle; all [`Budget::tick`] calls through this
-    /// budget (and through [children](Budget::child), which inherit the
-    /// handle) attribute work to that phase. The default handle is the
-    /// no-op [`Telemetry::off`], which keeps the hot path allocation-free.
+    /// Attaches a telemetry handle; every [`Budget::checkpoint`] through
+    /// this budget (and through [children](Budget::child), which inherit
+    /// the handle) attributes its work to that phase. The default handle
+    /// is the no-op [`Telemetry::off`], which keeps the hot path
+    /// allocation-free.
     pub fn with_telemetry(mut self, tele: Telemetry) -> Budget {
         self.tele = tele;
         self
@@ -409,31 +424,20 @@ impl Budget {
         &self.tele
     }
 
-    /// Attributes `units` of class `class` to the current telemetry phase.
+    /// Does nothing: [`Budget::checkpoint`] attributes its own units to
+    /// the telemetry phase. Kept only because the end-to-end benchmark
+    /// (`e2ebench/`) still calls it; delete it when the benchmark is next
+    /// revised.
+    #[doc(hidden)]
+    #[deprecated(note = "Budget::checkpoint attributes telemetry work itself")]
+    pub fn tick(&self, _class: CheckpointClass, _units: u64) {}
+
+    /// Records `units` of work at a loop boundary, attributes them to the
+    /// budget's telemetry phase, and checks every limit.
     ///
-    /// Call this immediately **before** the matching
-    /// [`Budget::checkpoint`], so that the units of a tripping checkpoint
-    /// are still attributed (the meter itself counts them — see
-    /// `checkpoint`). The `t1` lint enforces this pairing at every
-    /// checkpoint call site in the solver crates. A no-op when no recorder
-    /// is attached.
-    pub fn tick(&self, class: CheckpointClass, units: u64) {
-        self.tele.work(class, units);
-    }
-
-    /// True when the budget can trip deterministically — a finite
-    /// work-unit limit or an attached fault plan. Algorithms use this to
-    /// switch intra-arm fan-out to sequential execution so the trip point
-    /// does not depend on thread scheduling.
-    pub fn is_metered(&self) -> bool {
-        #[cfg(feature = "fault-injection")]
-        if !self.fault.is_empty() {
-            return true;
-        }
-        self.work_limit != u64::MAX
-    }
-
-    /// Records `units` of work at a loop boundary and checks every limit.
+    /// The meter and the telemetry phase count the units before any limit
+    /// is checked, so the units of a checkpoint that trips are still
+    /// attributed.
     ///
     /// Returns [`SapError::BudgetExhausted`] when the budget is cancelled,
     /// over its work-unit limit, past its deadline, or hits an injected
@@ -445,6 +449,7 @@ impl Budget {
         if let Some(slot) = self.by_class.get(class.index()) {
             slot.fetch_add(units, Ordering::Relaxed);
         }
+        self.tele.work(class, units);
         if self.cancelled.load(Ordering::Relaxed) {
             return Err(SapError::BudgetExhausted);
         }
@@ -673,40 +678,35 @@ impl SolveReport {
         self.arms.iter().find(|a| a.arm == arm)
     }
 
-    /// Deterministic single-line JSON encoding (hand-rolled: the workspace
-    /// is hermetic, and every field is a number or a known identifier, so
-    /// no escaping is needed).
+    /// The deterministic JSON document: `"v"` first, then every field in
+    /// declaration order.
+    pub fn to_json(&self) -> Json {
+        let text = |s: &str| Json::Str(s.into());
+        let arm = |a: &ArmReport| {
+            Json::Object(vec![
+                ("arm".into(), text(a.arm)),
+                ("outcome".into(), text(a.outcome.as_str())),
+                ("weight".into(), Json::UInt(a.weight)),
+                ("work_consumed".into(), Json::UInt(a.work_consumed)),
+                ("work".into(), a.work.to_json()),
+                ("fallback".into(), a.fallback.map_or(Json::Null, text)),
+            ])
+        };
+        Json::Object(vec![
+            ("v".into(), Json::UInt(REPORT_SCHEMA_VERSION)),
+            ("arms".into(), Json::Array(self.arms.iter().map(arm).collect())),
+            ("fallbacks".into(), Json::Array(self.fallbacks.iter().map(|f| text(f)).collect())),
+            ("winner".into(), text(self.winner)),
+            ("weight".into(), Json::UInt(self.weight)),
+            ("work_consumed".into(), Json::UInt(self.work_consumed)),
+            ("driver_work".into(), Json::UInt(self.driver_work)),
+            ("checkpoints".into(), Json::UInt(self.checkpoints)),
+        ])
+    }
+
+    /// [`SolveReport::to_json`] as one compact line.
     pub fn to_json_string(&self) -> String {
-        let mut out = format!("{{\"v\":{REPORT_SCHEMA_VERSION},\"arms\":[");
-        for (i, a) in self.arms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"arm\":\"{}\",\"outcome\":\"{}\",\"weight\":{},\"work_consumed\":{},\"work\":{}",
-                a.arm,
-                a.outcome,
-                a.weight,
-                a.work_consumed,
-                a.work.to_json()
-            ));
-            match a.fallback {
-                Some(fb) => out.push_str(&format!(",\"fallback\":\"{fb}\"}}")),
-                None => out.push_str(",\"fallback\":null}"),
-            }
-        }
-        out.push_str("],\"fallbacks\":[");
-        for (i, fb) in self.fallbacks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{fb}\""));
-        }
-        out.push_str(&format!(
-            "],\"winner\":\"{}\",\"weight\":{},\"work_consumed\":{},\"driver_work\":{},\"checkpoints\":{}}}",
-            self.winner, self.weight, self.work_consumed, self.driver_work, self.checkpoints
-        ));
-        out
+        self.to_json().to_string_compact()
     }
 }
 
@@ -736,7 +736,6 @@ mod tests {
         for _ in 0..10_000 {
             b.checkpoint(CheckpointClass::DpRow, 17).unwrap();
         }
-        assert!(!b.is_metered());
         assert_eq!(b.consumed(), 170_000);
         assert_eq!(b.checkpoints_passed(), 10_000);
     }
@@ -745,7 +744,6 @@ mod tests {
     fn work_units_trip_deterministically() {
         for _ in 0..3 {
             let b = Budget::unlimited().with_work_units(100);
-            assert!(b.is_metered());
             let mut passed = 0u64;
             while b.checkpoint(CheckpointClass::LpPivot, 7).is_ok() {
                 passed += 1;
@@ -805,7 +803,6 @@ mod tests {
         let b = Budget::unlimited();
         let shares = b.split_shares(2);
         for c in &shares {
-            assert!(!c.is_metered());
             for _ in 0..1000 {
                 c.checkpoint(CheckpointClass::PackSweep, 100).unwrap();
             }
@@ -878,17 +875,18 @@ mod tests {
     }
 
     #[test]
-    fn budget_ticks_attached_telemetry() {
+    fn checkpoints_attribute_work_to_attached_telemetry() {
         let rec = crate::telemetry::Recorder::new();
-        let b = Budget::unlimited().with_telemetry(rec.handle().child("arm"));
-        b.tick(CheckpointClass::DpRow, 4);
+        let b = Budget::unlimited().with_work_units(7).with_telemetry(rec.handle().child("arm"));
         b.checkpoint(CheckpointClass::DpRow, 4).unwrap();
         let child = b.child();
-        child.tick(CheckpointClass::DpRow, 2);
-        child.checkpoint(CheckpointClass::DpRow, 2).unwrap();
+        child.checkpoint(CheckpointClass::LpPivot, 2).unwrap();
+        // A tripping checkpoint's units are attributed too.
+        assert!(child.checkpoint(CheckpointClass::LpPivot, 6).is_err());
         let arm = rec.handle().get_child("arm").expect("arm phase recorded");
-        assert_eq!(arm.work_units(CheckpointClass::DpRow), 6);
-        // telemetry attribution matches the two budgets' own meters
+        assert_eq!(arm.work_units(CheckpointClass::DpRow), 4);
+        assert_eq!(arm.work_units(CheckpointClass::LpPivot), 8);
+        // telemetry attribution equals the two budgets' own meters
         assert_eq!(arm.work_total(), b.consumed() + child.consumed());
     }
 
@@ -967,7 +965,6 @@ mod tests {
                 ..FaultPlan::default()
             };
             let b = Budget::unlimited().with_fault_plan(plan);
-            assert!(b.is_metered());
             b.checkpoint(CheckpointClass::DpRow, 1).unwrap();
             b.checkpoint(CheckpointClass::DpRow, 1).unwrap();
             assert_eq!(b.checkpoint(CheckpointClass::DpRow, 1), Err(SapError::BudgetExhausted));

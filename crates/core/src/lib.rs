@@ -89,7 +89,7 @@ pub use stack::{lift, stack};
 pub use stats::{instance_stats, solution_stats, InstanceStats, SolutionStats};
 pub use task::{Span, Task};
 pub use telemetry::{
-    Recorder, Span as TelemetrySpan, SpanData, Telemetry, TELEMETRY_SCHEMA_VERSION,
+    telemetry_json, Recorder, Span as TelemetrySpan, Telemetry, TELEMETRY_SCHEMA_VERSION,
 };
 pub use units::{Capacity, Demand, EdgeId, Height, Ratio, TaskId, Vertex, Weight};
 

@@ -11,12 +11,12 @@
 //! * [`Histogram`] — the log2 histogram the telemetry layer stores
 //!   internally, promoted to a public, mergeable type (bucket 0 holds
 //!   the value 0, bucket `k` holds `[2^(k-1), 2^k)`);
-//! * [`ObsNode`] — an owned, mergeable span-tree node.
-//!   [`ObsNode::merge_span`] folds a finished recorder's
-//!   [`SpanData`](crate::telemetry::SpanData) snapshot into a cumulative
-//!   hierarchical profile; [`chrome_trace`] serializes a profile as
-//!   Chrome trace-event JSON (`ph:"B"/"E"` pairs) so it opens in any
-//!   trace viewer;
+//! * [`ObsNode`] — the one finished span-tree type: an owned, sorted,
+//!   mergeable node. [`Recorder::snapshot`](crate::telemetry::Recorder::snapshot)
+//!   returns one, [`ObsNode::merge`] folds finished snapshots into a
+//!   cumulative hierarchical profile, and [`chrome_trace`] serializes a
+//!   profile as Chrome trace-event JSON (`ph:"B"/"E"` pairs) so it opens
+//!   in any trace viewer;
 //! * [`Aggregator`] — the service-lifetime accumulator: flat named
 //!   counters, export-only operational counters, log2 histograms,
 //!   per-tenant breakdowns ([`TenantObs`]), and the merged profile,
@@ -42,12 +42,16 @@
 //! Snapshot lines and traces contain logical work-unit "time" only;
 //! wall-clock nanoseconds appear in a trace only when the source
 //! recorder opted into timings ([`TraceClock::WallNanos`]).
+//!
+//! Every export here — and the telemetry export built on [`ObsNode`] —
+//! is a [`Json`] value written by the workspace's one JSON writer; the
+//! `to_json_string` / `snapshot_line` / [`chrome_trace`] strings are
+//! its compact form.
 
 use std::collections::BTreeMap;
 
 use crate::budget::CheckpointClass;
-use crate::json::escape_str;
-use crate::telemetry::SpanData;
+use crate::json::Json;
 
 /// Schema version of the snapshot-line and full-export documents.
 pub const OBS_SCHEMA_VERSION: u64 = 1;
@@ -140,36 +144,36 @@ impl Histogram {
         Some(h)
     }
 
-    /// Appends the sparse JSON encoding `[[bucket,count],…]` to `out`.
-    fn push_json(&self, out: &mut String) {
-        out.push('[');
-        let mut first = true;
-        for (bucket, count) in self.entries() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push('[');
-            push_u64(out, bucket as u64);
-            out.push(',');
-            push_u64(out, count);
-            out.push(']');
-        }
-        out.push(']');
+    /// The sparse JSON encoding `[[bucket,count],…]`.
+    pub fn to_json(&self) -> Json {
+        Json::Array(
+            self.entries()
+                .map(|(b, count)| Json::Array(vec![Json::UInt(b as u64), Json::UInt(count)]))
+                .collect(),
+        )
     }
 }
 
-/// One node of a cumulative observability profile: the owned, mergeable
-/// counterpart of the telemetry layer's internal span node.
+/// A JSON object of named counts, in iteration order.
+fn uint_object<'a>(pairs: impl IntoIterator<Item = (&'a str, u64)>) -> Json {
+    Json::Object(pairs.into_iter().map(|(k, v)| (k.into(), Json::UInt(v))).collect())
+}
+
+/// [`uint_object`] of a name-sorted count map.
+fn count_map(map: &BTreeMap<&'static str, u64>) -> Json {
+    uint_object(map.iter().map(|(&k, &v)| (k, v)))
+}
+
+/// One node of a finished span tree: a [`Recorder`](crate::telemetry::Recorder)
+/// snapshot, or a cumulative profile merged from many of them.
 ///
-/// Names are owned `String`s (merged profiles outlive the `'static`
-/// recorder they came from is not guaranteed for future producers), and
-/// every collection is a `BTreeMap` so iteration — and therefore every
+/// Names are `'static` (every producer records under static names), and
+/// every collection is a `BTreeMap`, so iteration — and therefore every
 /// export — is deterministically sorted.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ObsNode {
     /// Phase name.
-    pub name: String,
+    pub name: &'static str,
     /// Times the phase was entered, summed across merged solves.
     pub entries: u64,
     /// Wall-clock nanoseconds, nonzero only when a merged recorder
@@ -178,53 +182,43 @@ pub struct ObsNode {
     /// Work units by [`CheckpointClass`] index.
     pub work: [u64; CheckpointClass::ALL.len()],
     /// Counter totals.
-    pub counters: BTreeMap<String, u64>,
+    pub counters: BTreeMap<&'static str, u64>,
     /// Monotonic gauge maxima.
-    pub gauges: BTreeMap<String, u64>,
+    pub gauges: BTreeMap<&'static str, u64>,
     /// Log2 histograms, bucket-wise merged.
-    pub hists: BTreeMap<String, Histogram>,
+    pub hists: BTreeMap<&'static str, Histogram>,
     /// Child phases by name.
-    pub children: BTreeMap<String, ObsNode>,
+    pub children: BTreeMap<&'static str, ObsNode>,
 }
 
 impl ObsNode {
     /// An empty node named `name`.
-    pub fn new(name: &str) -> ObsNode {
-        ObsNode { name: name.to_string(), ..ObsNode::default() }
+    pub fn new(name: &'static str) -> ObsNode {
+        ObsNode { name, ..ObsNode::default() }
     }
 
-    /// A profile built from a single span snapshot.
-    pub fn from_span(span: &SpanData) -> ObsNode {
-        let mut node = ObsNode::new(span.name);
-        node.merge_span(span);
-        node
-    }
-
-    /// Folds a finished recorder's span snapshot into this node: entry
-    /// counts, work, and counters add; gauges take the max; histograms
-    /// merge bucket-wise; children recurse by name.
-    pub fn merge_span(&mut self, span: &SpanData) {
-        self.entries = self.entries.saturating_add(span.entries);
-        self.busy_ns = self.busy_ns.saturating_add(span.busy_ns);
-        for (w, s) in self.work.iter_mut().zip(span.work.iter()) {
-            *w = w.saturating_add(*s);
+    /// Folds another finished tree into this node: entry counts, work,
+    /// and counters add; gauges take the max; histograms merge
+    /// bucket-wise; children recurse by name. This node keeps its name.
+    pub fn merge(&mut self, other: &ObsNode) {
+        self.entries = self.entries.saturating_add(other.entries);
+        self.busy_ns = self.busy_ns.saturating_add(other.busy_ns);
+        for (w, o) in self.work.iter_mut().zip(other.work.iter()) {
+            *w = w.saturating_add(*o);
         }
-        for &(name, v) in &span.counters {
-            let slot = self.counters.entry(name.to_string()).or_insert(0);
+        for (&name, &v) in &other.counters {
+            let slot = self.counters.entry(name).or_insert(0);
             *slot = slot.saturating_add(v);
         }
-        for &(name, v) in &span.gauges {
-            let slot = self.gauges.entry(name.to_string()).or_insert(0);
+        for (&name, &v) in &other.gauges {
+            let slot = self.gauges.entry(name).or_insert(0);
             *slot = (*slot).max(v);
         }
-        for (name, h) in &span.hists {
-            self.hists.entry(name.to_string()).or_default().merge(h);
+        for (&name, h) in &other.hists {
+            self.hists.entry(name).or_default().merge(h);
         }
-        for child in &span.children {
-            self.children
-                .entry(child.name.to_string())
-                .or_insert_with(|| ObsNode::new(child.name))
-                .merge_span(child);
+        for (&name, child) in &other.children {
+            self.children.entry(name).or_insert_with(|| ObsNode::new(name)).merge(child);
         }
     }
 
@@ -250,85 +244,41 @@ impl ObsNode {
         self.children.get(name)
     }
 
-    /// Appends the node's JSON object (same shape as the telemetry
-    /// export's span objects) to `out`.
-    fn push_json(&self, out: &mut String) {
-        out.push_str("{\"name\":\"");
-        out.push_str(&escape_str(&self.name));
-        out.push_str("\",\"n\":");
-        push_u64(out, self.entries);
+    /// The node's JSON object — the span shape of the telemetry export:
+    ///
+    /// ```json
+    /// {"name":"root","n":0,"work":{..},"counters":{..},"gauges":{..},
+    ///  "hist":{"k":[[bucket,count],..]},"children":[..]}
+    /// ```
+    ///
+    /// Empty sections are omitted, and so is `busy_ns` unless nonzero
+    /// (only recorders with timings on measure it).
+    pub fn to_json(&self) -> Json {
+        let mut fields = vec![
+            ("name".into(), Json::Str(self.name.into())),
+            ("n".into(), Json::UInt(self.entries)),
+        ];
         if self.busy_ns > 0 {
-            out.push_str(",\"busy_ns\":");
-            push_u64(out, self.busy_ns);
+            fields.push(("busy_ns".into(), Json::UInt(self.busy_ns)));
         }
         if self.work_total() > 0 {
-            out.push_str(",\"work\":{");
-            let mut first = true;
-            for class in CheckpointClass::ALL {
-                let v = self.work_units(class);
-                if v == 0 {
-                    continue;
-                }
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push('"');
-                out.push_str(class.as_str());
-                out.push_str("\":");
-                push_u64(out, v);
-            }
-            out.push('}');
+            let work = CheckpointClass::ALL.iter().map(|&c| (c.as_str(), self.work_units(c)));
+            fields.push(("work".into(), uint_object(work.filter(|&(_, v)| v > 0))));
         }
         for (key, map) in [("counters", &self.counters), ("gauges", &self.gauges)] {
-            if map.is_empty() {
-                continue;
+            if !map.is_empty() {
+                fields.push((key.into(), count_map(map)));
             }
-            out.push_str(",\"");
-            out.push_str(key);
-            out.push_str("\":{");
-            for (i, (k, v)) in map.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                out.push_str(&escape_str(k));
-                out.push_str("\":");
-                push_u64(out, *v);
-            }
-            out.push('}');
         }
         if !self.hists.is_empty() {
-            out.push_str(",\"hist\":{");
-            for (i, (k, h)) in self.hists.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                out.push_str(&escape_str(k));
-                out.push_str("\":");
-                h.push_json(out);
-            }
-            out.push('}');
+            let hists = self.hists.iter().map(|(&k, h)| (k.into(), h.to_json())).collect();
+            fields.push(("hist".into(), Json::Object(hists)));
         }
         if !self.children.is_empty() {
-            out.push_str(",\"children\":[");
-            for (i, child) in self.children.values().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                child.push_json(out);
-            }
-            out.push(']');
+            let children = self.children.values().map(ObsNode::to_json).collect();
+            fields.push(("children".into(), Json::Array(children)));
         }
-        out.push('}');
-    }
-
-    /// The node (and subtree) as a standalone JSON document.
-    pub fn to_json_string(&self) -> String {
-        let mut out = String::with_capacity(256);
-        self.push_json(&mut out);
-        out
+        Json::Object(fields)
     }
 }
 
@@ -367,45 +317,32 @@ pub fn chrome_trace(root: &ObsNode, clock: TraceClock) -> String {
         }
     }
 
-    fn emit(node: &ObsNode, t0: u64, clock: TraceClock, out: &mut String, first: &mut bool) {
-        let dur = duration(node, clock);
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-        out.push_str("{\"name\":\"");
-        out.push_str(&escape_str(&node.name));
-        out.push_str("\",\"ph\":\"B\",\"ts\":");
-        push_u64(out, t0);
-        out.push_str(",\"pid\":1,\"tid\":1,\"args\":{\"n\":");
-        push_u64(out, node.entries);
-        out.push_str(",\"work\":");
-        push_u64(out, node.work_total());
-        for (k, v) in &node.counters {
-            out.push_str(",\"");
-            out.push_str(&escape_str(k));
-            out.push_str("\":");
-            push_u64(out, *v);
-        }
-        out.push_str("}}");
+    fn emit(node: &ObsNode, t0: u64, clock: TraceClock, events: &mut Vec<Json>) {
+        let event = |ph: &str, ts: u64| {
+            vec![
+                ("name".into(), Json::Str(node.name.into())),
+                ("ph".into(), Json::Str(ph.into())),
+                ("ts".into(), Json::UInt(ts)),
+                ("pid".into(), Json::UInt(1)),
+                ("tid".into(), Json::UInt(1)),
+            ]
+        };
+        let totals = [("n", node.entries), ("work", node.work_total())];
+        let args = totals.into_iter().chain(node.counters.iter().map(|(&k, &v)| (k, v)));
+        let mut begin = event("B", t0);
+        begin.push(("args".into(), uint_object(args)));
+        events.push(Json::Object(begin));
         let mut cursor = t0;
         for child in node.children.values() {
-            emit(child, cursor, clock, out, first);
+            emit(child, cursor, clock, events);
             cursor = cursor.saturating_add(duration(child, clock));
         }
-        out.push_str(",{\"name\":\"");
-        out.push_str(&escape_str(&node.name));
-        out.push_str("\",\"ph\":\"E\",\"ts\":");
-        push_u64(out, t0.saturating_add(dur));
-        out.push_str(",\"pid\":1,\"tid\":1}");
+        events.push(Json::Object(event("E", t0.saturating_add(duration(node, clock)))));
     }
 
-    let mut out = String::with_capacity(1024);
-    out.push_str("{\"traceEvents\":[");
-    let mut first = true;
-    emit(root, 0, clock, &mut out, &mut first);
-    out.push_str("]}");
-    out
+    let mut events = Vec::new();
+    emit(root, 0, clock, &mut events);
+    Json::Object(vec![("traceEvents".into(), Json::Array(events))]).to_string_compact()
 }
 
 /// Per-tenant cumulative breakdown carried in snapshot lines and the
@@ -432,23 +369,17 @@ pub struct TenantObs {
 }
 
 impl TenantObs {
-    /// Appends the tenant's JSON object (fixed field order) to `out`.
-    fn push_json(&self, out: &mut String) {
-        out.push_str("{\"requests\":");
-        push_u64(out, self.requests);
-        out.push_str(",\"ok\":");
-        push_u64(out, self.ok);
-        out.push_str(",\"err\":");
-        push_u64(out, self.err);
-        out.push_str(",\"shed\":");
-        push_u64(out, self.shed);
-        out.push_str(",\"degraded\":");
-        push_u64(out, self.degraded);
-        out.push_str(",\"work\":");
-        push_u64(out, self.work);
-        out.push_str(",\"bucket\":");
-        push_u64(out, self.bucket);
-        out.push('}');
+    /// The tenant's JSON object, fields in declaration order.
+    pub fn to_json(&self) -> Json {
+        uint_object([
+            ("requests", self.requests),
+            ("ok", self.ok),
+            ("err", self.err),
+            ("shed", self.shed),
+            ("degraded", self.degraded),
+            ("work", self.work),
+            ("bucket", self.bucket),
+        ])
     }
 }
 
@@ -526,10 +457,11 @@ impl Aggregator {
         self.tenants.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// Folds a finished solve's span snapshot into the cumulative
-    /// profile.
-    pub fn merge_span(&mut self, span: &SpanData) {
-        self.profile.merge_span(span);
+    /// Folds a finished solve's span snapshot
+    /// ([`Recorder::snapshot`](crate::telemetry::Recorder::snapshot)) into
+    /// the cumulative profile.
+    pub fn merge_span(&mut self, span: &ObsNode) {
+        self.profile.merge(span);
     }
 
     /// The merged hierarchical profile (root node).
@@ -558,122 +490,49 @@ impl Aggregator {
     /// cache warmth, and on replay.
     pub fn snapshot_line(&mut self, tick: u64) -> String {
         self.snapshots = self.snapshots.saturating_add(1);
-        let mut out = String::with_capacity(256);
-        out.push_str("{\"v\":");
-        push_u64(&mut out, OBS_SCHEMA_VERSION);
-        out.push_str(",\"kind\":\"snapshot\",\"tick\":");
-        push_u64(&mut out, tick);
-        out.push_str(",\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            out.push_str(k);
-            out.push_str("\":");
-            push_u64(&mut out, *v);
-        }
-        out.push_str("},\"delta\":{");
-        let mut first = true;
-        for (k, v) in &self.counters {
+        let delta = self.counters.iter().filter_map(|(&k, &v)| {
             let before = self.baseline.get(k).copied().unwrap_or(0);
-            let delta = v.saturating_sub(before);
-            if delta == 0 {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push('"');
-            out.push_str(k);
-            out.push_str("\":");
-            push_u64(&mut out, delta);
-        }
-        out.push_str("},\"tenants\":{");
-        for (i, (name, t)) in self.tenants.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            out.push_str(&escape_str(name));
-            out.push_str("\":");
-            t.push_json(&mut out);
-        }
-        out.push_str("}}");
+            Some((k, v.saturating_sub(before))).filter(|&(_, d)| d > 0)
+        });
+        let line = Json::Object(vec![
+            ("v".into(), Json::UInt(OBS_SCHEMA_VERSION)),
+            ("kind".into(), Json::Str("snapshot".into())),
+            ("tick".into(), Json::UInt(tick)),
+            ("counters".into(), count_map(&self.counters)),
+            ("delta".into(), uint_object(delta)),
+            ("tenants".into(), self.tenants_json()),
+        ]);
         self.baseline = self.counters.clone();
-        out
+        line.to_string_compact()
+    }
+
+    /// The per-tenant breakdowns as one object keyed by tenant name.
+    fn tenants_json(&self) -> Json {
+        Json::Object(self.tenants.iter().map(|(name, t)| (name.clone(), t.to_json())).collect())
     }
 
     /// The full cumulative export: snapshot counters, operational
     /// counters, histograms, tenants, and the merged profile, as one
-    /// sorted single-line JSON document. Unlike the snapshot stream,
-    /// the `ops` section may vary with cache warmth (it counts solves
-    /// actually executed vs replayed).
-    pub fn to_json_string(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\"v\":");
-        push_u64(&mut out, OBS_SCHEMA_VERSION);
-        out.push_str(",\"kind\":\"obs\"");
-        for (key, map) in [("counters", &self.counters), ("ops", &self.ops)] {
-            out.push_str(",\"");
-            out.push_str(key);
-            out.push_str("\":{");
-            for (i, (k, v)) in map.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                out.push_str(k);
-                out.push_str("\":");
-                push_u64(&mut out, *v);
-            }
-            out.push('}');
-        }
-        out.push_str(",\"hist\":{");
-        for (i, (k, h)) in self.hists.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            out.push_str(k);
-            out.push_str("\":");
-            h.push_json(&mut out);
-        }
-        out.push_str("},\"tenants\":{");
-        for (i, (name, t)) in self.tenants.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            out.push_str(&escape_str(name));
-            out.push_str("\":");
-            t.push_json(&mut out);
-        }
-        out.push_str("},\"profile\":");
-        self.profile.push_json(&mut out);
-        out.push('}');
-        out
+    /// sorted JSON document. Unlike the snapshot stream, the `ops`
+    /// section may vary with cache warmth (it counts solves actually
+    /// executed vs replayed).
+    pub fn to_json(&self) -> Json {
+        let hists = self.hists.iter().map(|(&k, h)| (k.into(), h.to_json())).collect();
+        Json::Object(vec![
+            ("v".into(), Json::UInt(OBS_SCHEMA_VERSION)),
+            ("kind".into(), Json::Str("obs".into())),
+            ("counters".into(), count_map(&self.counters)),
+            ("ops".into(), count_map(&self.ops)),
+            ("hist".into(), Json::Object(hists)),
+            ("tenants".into(), self.tenants_json()),
+            ("profile".into(), self.profile.to_json()),
+        ])
     }
-}
 
-/// Writes a `u64` without going through `format!` (the exporters stay
-/// allocation-light).
-fn push_u64(out: &mut String, v: u64) {
-    let mut buf = [0u8; 20];
-    let mut i = buf.len();
-    let mut v = v;
-    loop {
-        i -= 1;
-        if let Some(b) = buf.get_mut(i) {
-            *b = b'0' + (v % 10) as u8;
-        }
-        v /= 10;
-        if v == 0 || i == 0 {
-            break;
-        }
+    /// [`Aggregator::to_json`] as one compact line.
+    pub fn to_json_string(&self) -> String {
+        self.to_json().to_string_compact()
     }
-    out.push_str(std::str::from_utf8(buf.get(i..).unwrap_or_default()).unwrap_or_default());
 }
 
 #[cfg(test)]
@@ -725,7 +584,7 @@ mod tests {
         assert!(!a.is_empty());
     }
 
-    fn sample_span(weight: u64) -> SpanData {
+    fn sample_span(weight: u64) -> ObsNode {
         let rec = Recorder::new();
         let t = rec.handle();
         t.work(CheckpointClass::Driver, 1);
@@ -739,10 +598,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_span_accumulates_across_solves() {
+    fn merge_accumulates_across_solves() {
         let mut node = ObsNode::new("root");
-        node.merge_span(&sample_span(2));
-        node.merge_span(&sample_span(5));
+        node.merge(&sample_span(2));
+        node.merge(&sample_span(5));
         assert_eq!(node.work_units(CheckpointClass::Driver), 2);
         let small = node.child("small").expect("merged");
         assert_eq!(small.entries, 2);
@@ -754,20 +613,10 @@ mod tests {
     }
 
     #[test]
-    fn obs_node_json_matches_telemetry_span_shape() {
-        let node = ObsNode::from_span(&sample_span(2));
-        let json = node.to_json_string();
-        assert!(json.starts_with("{\"name\":\"root\",\"n\":0"), "{json}");
-        assert!(json.contains("\"counters\":{\"lp.solves\":2}"), "{json}");
-        assert!(json.contains("\"hist\":{\"sizes\":[[2,1]]}"), "{json}");
-        assert!(!json.contains("busy_ns"), "timings are opt-in: {json}");
-    }
-
-    #[test]
     fn chrome_trace_nests_children_sequentially() {
         let mut node = ObsNode::new("root");
-        node.merge_span(&sample_span(1));
-        node.merge_span(&sample_span(1));
+        node.merge(&sample_span(1));
+        node.merge(&sample_span(1));
         let trace = chrome_trace(&node, TraceClock::WorkUnits);
         assert!(trace.starts_with("{\"traceEvents\":["), "{trace}");
         // Root B at 0, small B at 0, small E at 20, root E at 22.
@@ -785,7 +634,7 @@ mod tests {
     fn chrome_trace_is_deterministic() {
         let build = || {
             let mut node = ObsNode::new("root");
-            node.merge_span(&sample_span(3));
+            node.merge(&sample_span(3));
             chrome_trace(&node, TraceClock::WorkUnits)
         };
         assert_eq!(build(), build());

@@ -9,6 +9,14 @@
 //! default handle is **off** and every operation returns after one null
 //! check, with no allocation and no locking on the hot path.
 //!
+//! Work is attributed by construction: every
+//! [`Budget::checkpoint`](crate::budget::Budget::checkpoint) adds its
+//! units to the budget's phase, so per-phase work sums to the budget
+//! meter. A finished tree is read out once, as an
+//! [`ObsNode`] ([`Recorder::snapshot`]), and every export renders from
+//! that snapshot: the JSON export through the workspace's one writer
+//! ([`crate::json::Json`]), the tree view as text.
+//!
 //! ## Determinism contract
 //!
 //! The JSON export ([`Recorder::to_json_string`]) follows the same rules
@@ -17,15 +25,15 @@
 //! (atomic adds / maxes). Two runs of the same instance under the same
 //! budget therefore export **byte-identical** documents regardless of
 //! thread interleaving. Wall-clock timings exist but are opt-in
-//! ([`Recorder::with_timings`]) and clearly marked (`busy_ns`), so a
-//! deterministic export never contains them.
+//! ([`Recorder::with_timings`]) and clearly marked (`busy_ns`, emitted
+//! only when nonzero), so a deterministic export never contains them.
 //!
 //! ## Adding a counter
 //!
 //! Pick the node whose phase you are in (usually
 //! `budget.telemetry()`), and call [`Telemetry::count`] /
 //! [`Telemetry::gauge_max`] / [`Telemetry::observe`] with a `'static`
-//! identifier-like name (names are emitted unescaped). Only record
+//! identifier-like name. Only record
 //! values that are functions of the input — never of thread scheduling —
 //! or the determinism gate in `scripts/ci.sh` will catch the drift.
 //! Register the name in the DESIGN.md §9 counter registry (the `t2`
@@ -39,13 +47,15 @@
 //! "dynamic" dimensions (arm names, tenants) folded onto fixed names
 //! (`serve.winner.*`, `serve.tenant.*`) rather than interpolated.
 
+use std::fmt::Write;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use crate::budget::CheckpointClass;
-use crate::obs::Histogram;
+use crate::json::Json;
+use crate::obs::{Histogram, ObsNode};
 
 /// Schema version emitted as the leading `"v"` field of the telemetry
 /// JSON export.
@@ -114,10 +124,21 @@ impl SpanNode {
         self.work.iter().fold(0u64, |acc, w| acc.saturating_add(w.load(Ordering::Relaxed)))
     }
 
-    fn sorted_children(&self) -> Vec<Arc<SpanNode>> {
-        let mut kids: Vec<Arc<SpanNode>> = lock(&self.children).clone();
-        kids.sort_by_key(|k| k.name);
-        kids
+    /// The finished tree below (and including) this node.
+    fn snapshot(&self) -> ObsNode {
+        let kids: Vec<Arc<SpanNode>> = lock(&self.children).clone();
+        ObsNode {
+            name: self.name,
+            entries: self.entries.load(Ordering::Relaxed),
+            busy_ns: self.busy_nanos.load(Ordering::Relaxed),
+            work: std::array::from_fn(|i| {
+                self.work.get(i).map_or(0, |w| w.load(Ordering::Relaxed))
+            }),
+            counters: lock(&self.counters).iter().copied().collect(),
+            gauges: lock(&self.gauges).iter().copied().collect(),
+            hists: lock(&self.hists).iter().cloned().collect(),
+            children: kids.iter().map(|k| (k.name, k.snapshot())).collect(),
+        }
     }
 }
 
@@ -137,13 +158,6 @@ fn slot_max(slot: &Mutex<Vec<(&'static str, u64)>>, name: &'static str, n: u64) 
         Some((_, val)) => *val = (*val).max(n),
         None => v.push((name, n)),
     }
-}
-
-/// Sorted copy of a metric vec, for the deterministic exporters.
-fn sorted_slots(slot: &Mutex<Vec<(&'static str, u64)>>) -> Vec<(&'static str, u64)> {
-    let mut v = lock(slot).clone();
-    v.sort_by_key(|&(k, _)| k);
-    v
 }
 
 /// A cheap, cloneable handle to one node of a [`Recorder`]'s phase tree
@@ -228,8 +242,9 @@ impl Telemetry {
     }
 
     /// Attributes `units` work units of `class` to this phase. This is
-    /// what [`crate::budget::Budget::tick`] calls; the per-phase sums
-    /// reconcile with the budget meter (the conservation test pins it).
+    /// what [`crate::budget::Budget::checkpoint`] calls, so the per-phase
+    /// sums reconcile with the budget meter (the conservation test pins
+    /// it).
     pub fn work(&self, class: CheckpointClass, units: u64) {
         if let Some(node) = &self.node {
             if let Some(w) = node.work.get(class.index()) {
@@ -278,8 +293,8 @@ impl Telemetry {
 
     /// Owned, sorted snapshot of this phase's subtree (see
     /// [`Recorder::snapshot`]); `None` when the handle is off.
-    pub fn snapshot_node(&self) -> Option<SpanData> {
-        self.node.as_ref().map(|n| node_snapshot(n))
+    pub fn snapshot_node(&self) -> Option<ObsNode> {
+        self.node.as_ref().map(|n| n.snapshot())
     }
 }
 
@@ -353,28 +368,15 @@ impl Recorder {
         Telemetry { node: Some(Arc::clone(&self.root)) }
     }
 
-    /// Deterministic single-line JSON export (see the module docs for
-    /// the determinism contract). Layout:
-    ///
-    /// ```json
-    /// {"v":1,"spans":{"name":"root","n":0,"work":{..},"counters":{..},
-    ///  "gauges":{..},"hist":{"k":[[bucket,count],..]},"children":[..]}}
-    /// ```
-    ///
-    /// Empty sections are omitted; `busy_ns` appears only under
-    /// [`Recorder::with_timings`].
+    /// Deterministic single-line JSON export of [`Recorder::snapshot`]
+    /// (see the module docs for the determinism contract and
+    /// [`telemetry_json`] for the layout).
     pub fn to_json_string(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str("{\"v\":");
-        push_u64(&mut out, TELEMETRY_SCHEMA_VERSION);
-        out.push_str(",\"spans\":");
-        node_json(&self.root, &mut out);
-        out.push('}');
-        out
+        telemetry_json(&self.snapshot()).to_string_compact()
     }
 
-    /// Human-readable phase-tree summary, two-space indented, one line
-    /// per phase:
+    /// Human-readable phase-tree summary of [`Recorder::snapshot`],
+    /// two-space indented, one line per phase:
     ///
     /// ```text
     /// root  n=0  work=241 (driver=1 ...)
@@ -382,246 +384,64 @@ impl Recorder {
     /// ```
     pub fn to_tree_string(&self) -> String {
         let mut out = String::with_capacity(256);
-        node_tree(&self.root, 0, &mut out);
+        write_tree(&self.snapshot(), 0, &mut out);
         out
     }
 
-    /// An owned, sorted snapshot of the whole phase tree — the handoff
+    /// An owned, sorted snapshot of the whole phase tree — the one
+    /// finished-tree type every export renders from, and the handoff
     /// format for cumulative aggregation ([`crate::obs`]): a long-lived
-    /// engine snapshots each finished per-request recorder and merges
-    /// the snapshots into an [`crate::obs::ObsNode`] profile.
-    pub fn snapshot(&self) -> SpanData {
-        node_snapshot(&self.root)
+    /// engine merges the snapshots of finished per-request recorders into
+    /// one profile.
+    pub fn snapshot(&self) -> ObsNode {
+        self.root.snapshot()
     }
 }
 
-/// An owned snapshot of one span node and its subtree, with children
-/// and metric names sorted — the same deterministic order as the JSON
-/// export, so consumers (aggregation, trace export) inherit the
-/// byte-reproducibility contract. Produced by [`Recorder::snapshot`] /
-/// [`Telemetry::snapshot_node`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanData {
-    /// Phase name.
-    pub name: &'static str,
-    /// Times the phase was entered.
-    pub entries: u64,
-    /// Accumulated wall-clock nanoseconds (0 unless the recorder opted
-    /// into timings).
-    pub busy_ns: u64,
-    /// Work units by [`CheckpointClass`] index.
-    pub work: [u64; CheckpointClass::ALL.len()],
-    /// Counters, sorted by name.
-    pub counters: Vec<(&'static str, u64)>,
-    /// Monotonic gauges, sorted by name.
-    pub gauges: Vec<(&'static str, u64)>,
-    /// Log2 histograms, sorted by name.
-    pub hists: Vec<(&'static str, Histogram)>,
-    /// Child snapshots, sorted by name.
-    pub children: Vec<SpanData>,
+/// The telemetry export document for a snapshot root:
+///
+/// ```json
+/// {"v":1,"spans":{"name":"root","n":0,"work":{..},"counters":{..},
+///  "gauges":{..},"hist":{"k":[[bucket,count],..]},"children":[..]}}
+/// ```
+///
+/// `spans` is [`ObsNode::to_json`]: empty sections are omitted, and
+/// `busy_ns` appears only when a [`Recorder::with_timings`] measured it.
+pub fn telemetry_json(root: &ObsNode) -> Json {
+    Json::Object(vec![
+        ("v".into(), Json::UInt(TELEMETRY_SCHEMA_VERSION)),
+        ("spans".into(), root.to_json()),
+    ])
 }
 
-impl SpanData {
-    /// Total work units on this node (children excluded).
-    pub fn work_total(&self) -> u64 {
-        self.work.iter().fold(0u64, |acc, &w| acc.saturating_add(w))
-    }
-
-    /// Child snapshot by name.
-    pub fn child(&self, name: &str) -> Option<&SpanData> {
-        self.children.iter().find(|c| c.name == name)
-    }
-}
-
-fn node_snapshot(node: &SpanNode) -> SpanData {
-    let hists = {
-        let mut hs: Vec<(&'static str, Histogram)> = lock(&node.hists).clone();
-        hs.sort_by_key(|&(k, _)| k);
-        hs
-    };
-    SpanData {
-        name: node.name,
-        entries: node.entries.load(Ordering::Relaxed),
-        busy_ns: node.busy_nanos.load(Ordering::Relaxed),
-        work: std::array::from_fn(|i| {
-            node.work.get(i).map_or(0, |w| w.load(Ordering::Relaxed))
-        }),
-        counters: sorted_slots(&node.counters),
-        gauges: sorted_slots(&node.gauges),
-        hists,
-        children: node.sorted_children().iter().map(|k| node_snapshot(k)).collect(),
-    }
-}
-
-/// Writes a `u64` without going through `format!` (hot-ish path, and it
-/// keeps the exporters allocation-light).
-fn push_u64(out: &mut String, v: u64) {
-    let mut buf = [0u8; 20];
-    let mut i = buf.len();
-    let mut v = v;
-    loop {
-        i -= 1;
-        if let Some(b) = buf.get_mut(i) {
-            *b = b'0' + (v % 10) as u8;
-        }
-        v /= 10;
-        if v == 0 || i == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(buf.get(i..).unwrap_or_default()).unwrap_or_default());
-}
-
-fn node_json(node: &SpanNode, out: &mut String) {
-    out.push_str("{\"name\":\"");
-    out.push_str(node.name);
-    out.push_str("\",\"n\":");
-    push_u64(out, node.entries.load(Ordering::Relaxed));
-    if node.timings {
-        out.push_str(",\"busy_ns\":");
-        push_u64(out, node.busy_nanos.load(Ordering::Relaxed));
-    }
+/// Appends one indented line per phase of `node`'s subtree (the
+/// [`Recorder::to_tree_string`] view).
+fn write_tree(node: &ObsNode, depth: usize, out: &mut String) {
+    // Writing into a `String` cannot fail.
+    let indent = 2 * depth;
+    let _ = write!(out, "{:indent$}{}  n={}", "", node.name, node.entries);
+    let _ = write!(out, "  work={}", node.work_total());
     if node.work_total() > 0 {
-        out.push_str(",\"work\":{");
-        let mut first = true;
-        for class in CheckpointClass::ALL {
-            let v = node.work_units(class);
-            if v == 0 {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push('"');
-            out.push_str(class.as_str());
-            out.push_str("\":");
-            push_u64(out, v);
-        }
-        out.push('}');
+        let classes = CheckpointClass::ALL.iter().filter(|&&c| node.work_units(c) > 0);
+        let split: Vec<String> =
+            classes.map(|&c| format!("{}={}", c.as_str(), node.work_units(c))).collect();
+        let _ = write!(out, " ({})", split.join(" "));
     }
-    for (key, slot) in [("counters", &node.counters), ("gauges", &node.gauges)] {
-        let entries = sorted_slots(slot);
-        if entries.is_empty() {
-            continue;
-        }
-        out.push_str(",\"");
-        out.push_str(key);
-        out.push_str("\":{");
-        for (i, (k, v)) in entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            out.push_str(k);
-            out.push_str("\":");
-            push_u64(out, *v);
-        }
-        out.push('}');
+    if node.busy_ns > 0 {
+        let _ = write!(out, "  busy_ms={}", node.busy_ns / 1_000_000);
     }
-    let hists = {
-        let mut hs: Vec<(&'static str, Histogram)> = lock(&node.hists).clone();
-        hs.sort_by_key(|&(k, _)| k);
-        hs
-    };
-    if !hists.is_empty() {
-        out.push_str(",\"hist\":{");
-        for (i, (k, h)) in hists.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            out.push_str(k);
-            out.push_str("\":[");
-            let mut first = true;
-            for (bucket, count) in h.entries() {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push('[');
-                push_u64(out, bucket as u64);
-                out.push(',');
-                push_u64(out, count);
-                out.push(']');
-            }
-            out.push(']');
-        }
-        out.push('}');
+    for (k, v) in &node.counters {
+        let _ = write!(out, "  {k}={v}");
     }
-    let kids = node.sorted_children();
-    if !kids.is_empty() {
-        out.push_str(",\"children\":[");
-        for (i, kid) in kids.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            node_json(kid, out);
-        }
-        out.push(']');
+    for (k, v) in &node.gauges {
+        let _ = write!(out, "  max:{k}={v}");
     }
-    out.push('}');
-}
-
-fn node_tree(node: &SpanNode, depth: usize, out: &mut String) {
-    for _ in 0..depth {
-        out.push_str("  ");
-    }
-    out.push_str(node.name);
-    out.push_str("  n=");
-    push_u64(out, node.entries.load(Ordering::Relaxed));
-    out.push_str("  work=");
-    push_u64(out, node.work_total());
-    if node.work_total() > 0 {
-        out.push_str(" (");
-        let mut first = true;
-        for class in CheckpointClass::ALL {
-            let v = node.work_units(class);
-            if v == 0 {
-                continue;
-            }
-            if !first {
-                out.push(' ');
-            }
-            first = false;
-            out.push_str(class.as_str());
-            out.push('=');
-            push_u64(out, v);
-        }
-        out.push(')');
-    }
-    if node.timings {
-        out.push_str("  busy_ms=");
-        push_u64(out, node.busy_nanos.load(Ordering::Relaxed) / 1_000_000);
-    }
-    for (k, v) in sorted_slots(&node.counters) {
-        out.push_str("  ");
-        out.push_str(k);
-        out.push('=');
-        push_u64(out, v);
-    }
-    for (k, v) in sorted_slots(&node.gauges) {
-        out.push_str("  max:");
-        out.push_str(k);
-        out.push('=');
-        push_u64(out, v);
-    }
-    {
-        let hs = lock(&node.hists);
-        let mut names: Vec<(&'static str, u64)> =
-            hs.iter().map(|(k, h)| (*k, h.total())).collect();
-        drop(hs);
-        names.sort_by_key(|&(k, _)| k);
-        for (k, n) in names {
-            out.push_str("  ");
-            out.push_str(k);
-            out.push('~');
-            push_u64(out, n);
-        }
+    for (k, h) in &node.hists {
+        let _ = write!(out, "  {k}~{}", h.total());
     }
     out.push('\n');
-    for kid in node.sorted_children() {
-        node_tree(&kid, depth + 1, out);
+    for child in node.children.values() {
+        write_tree(child, depth + 1, out);
     }
 }
 
@@ -782,26 +602,17 @@ mod tests {
         assert_eq!(snap.name, "root");
         assert_eq!(snap.work_total(), 3);
         // Children sorted by name regardless of creation order.
-        let names: Vec<&str> = snap.children.iter().map(|c| c.name).collect();
+        let names: Vec<&str> = snap.children.values().map(|c| c.name).collect();
         assert_eq!(names, vec!["alpha", "beta"]);
         let beta = snap.child("beta").expect("captured");
         assert_eq!(beta.entries, 1);
-        assert_eq!(beta.counters, vec![("hits", 2)]);
+        assert_eq!(beta.counters.get("hits"), Some(&2));
         assert_eq!(beta.hists.len(), 1);
-        assert_eq!(beta.hists[0].1.total(), 1);
-        assert_eq!(snap.child("alpha").expect("captured").gauges, vec![("peak", 9)]);
+        assert_eq!(beta.hists.get("sizes").map(Histogram::total), Some(1));
+        assert_eq!(snap.child("alpha").expect("captured").gauges.get("peak"), Some(&9));
         assert!(snap.child("missing").is_none());
         // The off handle has nothing to snapshot.
         assert!(Telemetry::off().snapshot_node().is_none());
         assert_eq!(t.snapshot_node().expect("enabled"), snap);
-    }
-
-    #[test]
-    fn push_u64_matches_display() {
-        for v in [0u64, 1, 9, 10, 123, u64::MAX] {
-            let mut s = String::new();
-            push_u64(&mut s, v);
-            assert_eq!(s, v.to_string());
-        }
     }
 }

@@ -910,7 +910,6 @@ impl<'a> Simplex<'a> {
         let mut stall = 0usize;
         let mut last_obj = f64::NEG_INFINITY;
         for _ in 0..max_iters {
-            budget.tick(CheckpointClass::LpPivot, 1);
             budget.checkpoint(CheckpointClass::LpPivot, 1)?;
             if self.etas_since_refactor >= self.refactor_every && !self.refactor(budget) {
                 return Ok(LpStatus::SingularBasis);

@@ -275,7 +275,6 @@ impl<'a> Solver<'a> {
         if lo >= hi || self.exhausted {
             return 0;
         }
-        self.budget.tick(CheckpointClass::PackSweep, 1);
         if self.budget.checkpoint(CheckpointClass::PackSweep, 1).is_err() {
             // Unwind the whole recursion; the caller maps this to
             // Err(BudgetExhausted), so the bogus 0 value is never used.

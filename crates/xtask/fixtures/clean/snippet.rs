@@ -29,9 +29,8 @@ pub fn first_or_default(v: &[u64]) -> u64 {
     v.first().copied().expect("non-empty by contract")
 }
 
-/// Ticks the telemetry phase meter beside its checkpoint, as t1 demands.
+/// Meters one step at a budget checkpoint.
 pub fn metered_step(budget: &Budget) -> SapResult<()> {
-    budget.tick(CheckpointClass::Driver, 1);
     budget.checkpoint(CheckpointClass::Driver, 1)
 }
 

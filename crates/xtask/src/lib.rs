@@ -22,11 +22,6 @@
 //!   re-raise captured panics with `resume_unwind`: portfolio arms are
 //!   isolated (`sap_core::run_isolated`) and failures become report
 //!   entries, not process aborts.
-//! * **t1 — telemetry ticks.** Every `Budget::checkpoint` call site in
-//!   the solver crates must tick the telemetry phase meter
-//!   (`.tick(...)` on the same line or at most three lines above), so
-//!   the per-phase work attribution cannot silently drift from the
-//!   budget meter as new checkpoints are added.
 //! * **a1 — memo-key cloning.** Library code in `rectpack` must not
 //!   `.clone()` / `.to_vec()` constraint sets, memo keys or floor
 //!   constraints: those values are hash-consed through the
@@ -92,10 +87,6 @@ pub enum Lint {
     /// No `resume_unwind` in `sap-algs` driver code (panics must be
     /// isolated and reported, not re-raised).
     R1,
-    /// Budget checkpoints in solver crates must tick telemetry
-    /// (`tick(...)` on the same line or shortly before `checkpoint(...)`),
-    /// so phase attribution cannot silently drift from the meter.
-    T1,
     /// No `.clone()` / `.to_vec()` on memo-key values (constraint sets,
     /// memo keys, floor constraints) in `rectpack` library code — they
     /// are interned through the `ConstraintPool` arena.
@@ -122,14 +113,13 @@ pub enum Lint {
 }
 
 /// All lints, in reporting order.
-pub const ALL_LINTS: [Lint; 14] = [
+pub const ALL_LINTS: [Lint; 13] = [
     Lint::H1,
     Lint::P1,
     Lint::F1,
     Lint::V1,
     Lint::D1,
     Lint::R1,
-    Lint::T1,
     Lint::A1,
     Lint::N1,
     Lint::O1,
@@ -149,7 +139,6 @@ impl Lint {
             Lint::V1 => "v1",
             Lint::D1 => "d1",
             Lint::R1 => "r1",
-            Lint::T1 => "t1",
             Lint::A1 => "a1",
             Lint::N1 => "n1",
             Lint::O1 => "o1",
@@ -169,7 +158,6 @@ impl Lint {
             Lint::V1 => "pub fn returning a Solution without a debug-mode validator call",
             Lint::D1 => "pub fn / pub struct without a doc comment",
             Lint::R1 => "resume_unwind in sap-algs driver code (isolate and report instead)",
-            Lint::T1 => "Budget::checkpoint call site without a telemetry tick beside it",
             Lint::A1 => "clone()/to_vec() of a memo-key value in rectpack hot-path code",
             Lint::N1 => "hash-order iteration or wall-clock read on an output-affecting path",
             Lint::O1 => "unchecked +/*/<< on a capacity/weight-typed u64 in a solver core",
@@ -190,7 +178,6 @@ impl Lint {
             "v1" => Some(Lint::V1),
             "d1" => Some(Lint::D1),
             "r1" => Some(Lint::R1),
-            "t1" => Some(Lint::T1),
             "a1" => Some(Lint::A1),
             "n1" => Some(Lint::N1),
             "o1" => Some(Lint::O1),
@@ -210,14 +197,13 @@ impl Lint {
             Lint::V1 => 3,
             Lint::D1 => 4,
             Lint::R1 => 5,
-            Lint::T1 => 6,
-            Lint::A1 => 7,
-            Lint::N1 => 8,
-            Lint::O1 => 9,
-            Lint::V2 => 10,
-            Lint::B1 => 11,
-            Lint::T2 => 12,
-            Lint::Allow => 13,
+            Lint::A1 => 6,
+            Lint::N1 => 7,
+            Lint::O1 => 8,
+            Lint::V2 => 9,
+            Lint::B1 => 10,
+            Lint::T2 => 11,
+            Lint::Allow => 12,
         }
     }
 }
@@ -234,11 +220,11 @@ pub enum Level {
 /// Per-lint severity table. The default denies everything: the tree is
 /// expected to stay lint-clean.
 #[derive(Clone, Debug)]
-pub struct Levels([Level; 14]);
+pub struct Levels([Level; 13]);
 
 impl Default for Levels {
     fn default() -> Self {
-        Levels([Level::Deny; 14])
+        Levels([Level::Deny; 13])
     }
 }
 
@@ -255,7 +241,7 @@ impl Levels {
 
     /// Set every lint's severity.
     pub fn set_all(&mut self, level: Level) {
-        self.0 = [level; 14];
+        self.0 = [level; 13];
     }
 }
 

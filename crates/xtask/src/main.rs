@@ -65,8 +65,8 @@ options:
 
 lints: h1 (hermetic deps)  p1 (panic freedom)  f1 (float equality)
        v1 (validator coverage)  d1 (docs)  r1 (panic isolation)
-       t1 (telemetry ticks)  a1 (memo-key clones)  n1 (nondeterminism)
-       o1 (overflow)  v2 (validator reachability)  b1 (checkpoint coverage)
+       a1 (memo-key clones)  n1 (nondeterminism)  o1 (overflow)
+       v2 (validator reachability)  b1 (checkpoint coverage)
        t2 (counter registry)  allow (directive hygiene)";
 
 fn lint_cmd(args: &[String]) -> i32 {

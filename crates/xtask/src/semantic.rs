@@ -464,7 +464,7 @@ fn lint_b1(files: &[SourceFile], graph: &Graph, toks: &[Vec<Token>]) -> Vec<Find
                     push(src, &mut out, Lint::B1, loop_line, format!(
                         "loop in fallible `{}` has no Budget::checkpoint in its body or \
                          callees; an unbudgeted loop cannot be preempted or metered — \
-                         checkpoint each iteration (tick + checkpoint), or justify with \
+                         checkpoint each iteration, or justify with \
                          lint:allow(b1)",
                         n.item.name
                     ));
@@ -818,7 +818,6 @@ fn inner(_inst: &Instance) -> Solution {
 pub fn try_direct(b: &Budget, n: usize) -> SapResult<u64> {
     let mut acc = 0;
     for i in 0..n {
-        b.tick(CheckpointClass::DpRow, 1);
         b.checkpoint(CheckpointClass::DpRow, 1)?;
         acc += step(i);
     }
@@ -832,7 +831,6 @@ pub fn try_via_callee(b: &Budget, n: usize) -> SapResult<u64> {
     Ok(acc)
 }
 fn metered_step(b: &Budget, i: usize) -> SapResult<u64> {
-    b.tick(CheckpointClass::DpRow, 1);
     b.checkpoint(CheckpointClass::DpRow, 1)?;
     Ok(i as u64)
 }

@@ -218,7 +218,7 @@ impl SourceFile {
                         line: idx + 1,
                         message: format!(
                             "lint:allow({}) names an unknown lint \
-                             (known: h1 p1 f1 v1 d1 r1 t1 a1 n1 o1 v2 b1 t2)",
+                             (known: h1 p1 f1 v1 d1 r1 a1 n1 o1 v2 b1 t2)",
                             d.lint_name
                         ),
                     });

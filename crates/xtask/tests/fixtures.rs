@@ -66,23 +66,6 @@ fn bad_algs_fires_v1_and_allow_hygiene() {
 }
 
 #[test]
-fn bad_budgeted_fires_t1() {
-    let src = SourceFile::parse(
-        "crates/algs/src/budgeted.rs",
-        &fixture("bad-workspace/crates/algs/src/budgeted.rs"),
-    );
-    let findings = rust_lints::lint_source(&src);
-    assert_eq!(lints_of(&findings), [Lint::T1, Lint::T1], "{findings:?}");
-    assert!(findings.iter().all(|f| f.message.contains("tick")));
-    // The same text outside the solver crates is out of t1's scope.
-    let gen = SourceFile::parse(
-        "crates/gen/src/budgeted.rs",
-        &fixture("bad-workspace/crates/algs/src/budgeted.rs"),
-    );
-    assert!(rust_lints::lint_source(&gen).iter().all(|f| f.lint != Lint::T1));
-}
-
-#[test]
 fn bad_rectpack_fires_a1() {
     let src = SourceFile::parse(
         "crates/rectpack/src/hotpath.rs",

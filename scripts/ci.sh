@@ -9,7 +9,8 @@
 #      (worker panics, failed LP solves, injected budget exhaustion),
 #   4. the in-repo static-analysis pass with every lint denied,
 #   5. the telemetry determinism gate: the same instance solved twice with
-#      `--telemetry=json` must export byte-identical phase trees.
+#      each of `--telemetry=json`, `--telemetry=tree` and `--trace` must
+#      export byte-identical phase trees, tree views and Chrome traces.
 #   6. the bench smoke gate: the solver-level `core` suite in --smoke mode
 #      must emit a schema-valid report whose machine-independent
 #      invariants hold (work-unit conservation across worker counts,
@@ -89,6 +90,16 @@ trap '[ -n "$net_pid" ] && kill "$net_pid" 2>/dev/null; rm -rf "$tmpdir"' EXIT
     2>"$tmpdir/tele-b.json" >/dev/null
 diff "$tmpdir/tele-a.json" "$tmpdir/tele-b.json" \
     || { echo "telemetry export is not deterministic" >&2; exit 1; }
+for run in a b; do
+    ./target/release/sap solve "$tmpdir/inst.json" --algo combined --telemetry=tree \
+        2>"$tmpdir/tree-$run.txt" >/dev/null
+    ./target/release/sap solve "$tmpdir/inst.json" --algo combined \
+        --trace "$tmpdir/trace-$run.json" >/dev/null 2>&1
+done
+diff "$tmpdir/tree-a.txt" "$tmpdir/tree-b.txt" \
+    || { echo "telemetry tree view is not deterministic" >&2; exit 1; }
+diff "$tmpdir/trace-a.json" "$tmpdir/trace-b.json" \
+    || { echo "solve trace export is not deterministic" >&2; exit 1; }
 
 echo "==> bench smoke gate"
 cargo run --release -p sap-bench -- --suite core --smoke --workers 1,2 \

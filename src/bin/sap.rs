@@ -215,7 +215,7 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
             // Chrome trace-event export of the solve's span tree. The
             // work-unit clock is deterministic; `--timings` switches to
             // wall-clock durations.
-            let root = storage_alloc::sap_core::ObsNode::from_span(&rec.snapshot());
+            let root = rec.snapshot();
             let clock = if want_timings {
                 storage_alloc::sap_core::TraceClock::WallNanos
             } else {

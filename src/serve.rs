@@ -111,8 +111,8 @@ use sap_core::FaultPlan;
 use sap_core::json::{self, Json};
 use sap_core::obs::{chrome_trace, Aggregator, TraceClock};
 use sap_core::{
-    map_reduce_isolated, run_isolated, Budget, Fnv1a, Recorder, ShardedLru, SolveReport,
-    SpanData, Telemetry, WorkProfile,
+    map_reduce_isolated, run_isolated, telemetry_json, Budget, Fnv1a, ObsNode, Recorder,
+    ShardedLru, SolveReport, Telemetry, WorkProfile,
 };
 
 /// Response schema version, bumped on breaking changes to the line
@@ -384,7 +384,7 @@ struct OkMeta {
     work: WorkProfile,
     /// Snapshot of the request's telemetry tree (collected only while
     /// the obs plane is on; `Arc` so replays don't deep-copy).
-    span: Option<Arc<SpanData>>,
+    span: Option<Arc<ObsNode>>,
 }
 
 /// A cached ok response: the exact payload bytes plus the obs metadata
@@ -433,8 +433,9 @@ fn report_work_profile(report: &SolveReport) -> WorkProfile {
 
 /// Runs one request to completion: build the instance, solve it under
 /// its own budget and telemetry recorder, assemble the response line.
-/// `want_span` additionally snapshots the telemetry tree for the
-/// cumulative profile (only requested while the obs plane is on).
+/// The recorder is snapshotted once; the snapshot is both the response's
+/// embedded telemetry and, when `want_span` is set (the obs plane is
+/// on), the tree merged into the cumulative profile.
 fn solve_request(req: &Request, want_span: bool) -> Result<SolveOk, String> {
     let instance = req.dto.to_instance().map_err(|e| format!("invalid instance: {e}"))?;
     let ids = instance.all_ids();
@@ -450,24 +451,21 @@ fn solve_request(req: &Request, want_span: bool) -> Result<SolveOk, String> {
         ServeAlgo::Practical => sap_algs::try_solve_practical(&instance, &ids, &params, &budget),
     }
     .map_err(|e| format!("solve failed: {e}"))?;
-    let report_json = json::parse(&report.to_json_string())
-        .map_err(|e| format!("internal error: report serialization: {e}"))?;
-    let telemetry_json = json::parse(&recorder.to_json_string())
-        .map_err(|e| format!("internal error: telemetry serialization: {e}"))?;
+    let snapshot = recorder.snapshot();
     let payload = Json::Object(vec![
         ("v".into(), Json::UInt(SERVE_SCHEMA_VERSION)),
         ("status".into(), Json::Str("ok".into())),
         ("weight".into(), Json::UInt(report.weight)),
         ("solution".into(), SolutionDto::from_solution(&instance, &solution).to_json()),
-        ("report".into(), report_json),
-        ("telemetry".into(), telemetry_json),
+        ("report".into(), report.to_json()),
+        ("telemetry".into(), telemetry_json(&snapshot)),
     ])
     .to_string_compact();
     let outcomes = report.arms.iter().map(|a| a.outcome.as_str()).collect();
     let meta = OkMeta {
         winner: report.winner,
         work: report_work_profile(&report),
-        span: want_span.then(|| Arc::new(recorder.snapshot())),
+        span: want_span.then(|| Arc::new(snapshot)),
     };
     Ok(SolveOk { payload, outcomes, meta })
 }

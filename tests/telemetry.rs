@@ -62,10 +62,11 @@ fn telemetry_json_is_byte_identical_across_runs() {
 }
 
 #[test]
-fn telemetry_agrees_between_metered_and_parallel_paths() {
-    // A huge-but-finite limit flips `Budget::is_metered` on (sequential
-    // arms) without ever tripping, so the two execution paths must
-    // attribute exactly the same work to exactly the same phases.
+fn telemetry_agrees_between_unlimited_and_finite_work_limits() {
+    // A huge-but-finite limit meters every arm (and splits intra-arm
+    // fan-out into fixed per-item shares) without ever tripping, so the
+    // limited and unlimited runs must attribute exactly the same work to
+    // exactly the same phases.
     for seed in 0..4 {
         let inst = workload(seed + 10, DemandRegime::Mixed);
         let (parallel, rep_p, _) = solve_with_recorder(&inst, u64::MAX);
