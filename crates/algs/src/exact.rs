@@ -11,10 +11,12 @@
 //! only grow), which yields a sound remaining-weight prune.
 
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 use sap_core::budget::{Budget, CheckpointClass};
 use sap_core::error::{SapError, SapResult};
-use sap_core::{canonical_heights, Instance, SapSolution, TaskId};
+use sap_core::{canonical_heights, Fnv1a, Instance, SapSolution, TaskId};
 
 /// Budget knobs for the exact search.
 #[derive(Debug, Clone, Copy)]
@@ -29,10 +31,63 @@ impl Default for ExactConfig {
     }
 }
 
+/// Word-wise FNV-1a over the `[mask, μ…]` state keys: deterministic
+/// run to run (no `RandomState` seeding), one multiply per word. `[u64]`
+/// hashes as a length word plus one byte slice, folded 8 bytes a step.
+#[derive(Default)]
+struct StateHasher(Fnv1a);
+
+impl Hasher for StateHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let mut le = [0u8; 8];
+            le.copy_from_slice(w);
+            self.0.write_word(u64::from_le_bytes(le));
+        }
+        for &b in words.remainder() {
+            self.0.write_word(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, w: u64) {
+        self.0.write_word(w);
+    }
+
+    fn write_usize(&mut self, w: usize) {
+        self.0.write_word(w as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // FNV's multiply only carries upward; fold the high half down so
+        // the table's low index bits see every input bit.
+        let h = self.0.finish();
+        h ^ (h >> 32)
+    }
+}
+
+/// Visited `[mask, μ…]` states. A key is boxed only when first inserted;
+/// probes borrow a slice of the search's per-depth buffer.
+type StateSet = HashSet<Box<[u64]>, BuildHasherDefault<StateHasher>>;
+
 struct Search<'a> {
-    inst: &'a Instance,
     ids: &'a [TaskId],
-    seen: HashSet<(u64, Vec<u64>)>,
+    /// Per-position task data, indexed like `ids`. `cols` is the task's
+    /// span as a column range of a state slot (edge `e` is column
+    /// `e + 1`, after the mask).
+    cols: Vec<Range<usize>>,
+    demand: Vec<u64>,
+    weight: Vec<u64>,
+    bottleneck: Vec<u64>,
+    /// One `[mask, μ(0), …, μ(m-1)]` state per depth, `width = m + 1`
+    /// words each: a node's state is the probe key itself, and a child's
+    /// is written into the next slot.
+    states: Vec<u64>,
+    width: usize,
+    /// `(position, grounded height)` candidates, stacked by depth: a
+    /// node pushes its own above its ancestors' and truncates on return.
+    feasible: Vec<(usize, u64)>,
+    seen: StateSet,
     best_weight: u64,
     best_order: Vec<TaskId>,
     max_states: usize,
@@ -54,10 +109,17 @@ pub fn solve_exact_sap(
     budget: &Budget,
 ) -> SapResult<Option<SapSolution>> {
     assert!(ids.len() <= 64, "exact solver limited to 64 tasks");
+    let width = instance.num_edges() + 1;
     let mut s = Search {
-        inst: instance,
         ids,
-        seen: HashSet::new(),
+        cols: ids.iter().map(|&j| instance.span(j)).map(|s| s.lo + 1..s.hi + 1).collect(),
+        demand: ids.iter().map(|&j| instance.demand(j)).collect(),
+        weight: ids.iter().map(|&j| instance.weight(j)).collect(),
+        bottleneck: ids.iter().map(|&j| instance.bottleneck(j)).collect(),
+        states: vec![0u64; width * (ids.len() + 1)],
+        width,
+        feasible: Vec::new(),
+        seen: StateSet::default(),
         best_weight: 0,
         best_order: Vec::new(),
         max_states: config.max_states,
@@ -65,9 +127,8 @@ pub fn solve_exact_sap(
         budget,
         budget_tripped: false,
     };
-    let mu = vec![0u64; instance.num_edges()];
     let mut order = Vec::new();
-    s.dfs(0, &mu, 0, &mut order);
+    s.dfs(0, 0, &mut order);
     if s.budget_tripped {
         return Err(SapError::BudgetExhausted);
     }
@@ -84,7 +145,8 @@ pub fn solve_exact_sap(
 }
 
 impl Search<'_> {
-    fn dfs(&mut self, mask: u64, mu: &[u64], weight: u64, order: &mut Vec<TaskId>) {
+    /// Expands the state in slot `depth` (`order.len() == depth`).
+    fn dfs(&mut self, depth: usize, weight: u64, order: &mut Vec<TaskId>) {
         if self.exhausted {
             return;
         }
@@ -97,44 +159,58 @@ impl Search<'_> {
         }
         if weight > self.best_weight {
             self.best_weight = weight;
-            self.best_order = order.clone();
+            self.best_order.clone_from(order);
         }
+        let width = self.width;
+        let at = depth * width;
+        let mask = self.states[at];
         // Prune: tasks that can still be placed (profiles only grow, so a
         // task overflowing now overflows forever).
+        let base = self.feasible.len();
         let mut potential = 0u64;
-        let mut feasible: Vec<(usize, u64)> = Vec::new(); // (position, grounded height)
-        for (i, &j) in self.ids.iter().enumerate() {
-            if mask & (1 << i) != 0 {
-                continue;
+        {
+            let state = &self.states[at..at + width];
+            for i in 0..self.ids.len() {
+                if mask & (1 << i) != 0 {
+                    continue;
+                }
+                let h = state[self.cols[i].clone()].iter().copied().max().unwrap_or(0);
+                if h + self.demand[i] <= self.bottleneck[i] {
+                    potential += self.weight[i];
+                    self.feasible.push((i, h));
+                }
             }
-            let span = self.inst.span(j);
-            let h = span.edges().map(|e| mu[e]).max().unwrap_or(0);
-            if h + self.inst.demand(j) <= self.inst.bottleneck(j) {
-                potential += self.inst.weight(j);
-                feasible.push((i, h));
+        }
+        if weight.saturating_add(potential) > self.best_weight && self.insert_state(at) {
+            for k in base..self.feasible.len() {
+                let (i, h) = self.feasible[k];
+                let top = h + self.demand[i];
+                let (parent, child) = self.states.split_at_mut(at + width);
+                let child = &mut child[..width];
+                child.copy_from_slice(&parent[at..]);
+                child[0] = mask | (1 << i);
+                child[self.cols[i].clone()].fill(top);
+                order.push(self.ids[i]);
+                self.dfs(depth + 1, weight.saturating_add(self.weight[i]), order);
+                order.pop();
             }
         }
-        if weight.saturating_add(potential) <= self.best_weight {
-            return;
+        self.feasible.truncate(base);
+    }
+
+    /// Records the state in the slot at `at`; false when it was already
+    /// seen or the memo-state cap is now exceeded.
+    fn insert_state(&mut self, at: usize) -> bool {
+        let key = &self.states[at..at + self.width];
+        if self.seen.contains(key) {
+            return false;
         }
-        if !self.seen.insert((mask, mu.to_vec())) {
-            return;
-        }
+        self.seen.insert(key.into());
         if self.seen.len() > self.max_states {
             self.exhausted = true;
-            return;
+            return false;
         }
-        for (i, h) in feasible {
-            let j = self.ids[i];
-            let mut mu2 = mu.to_vec();
-            let top = h + self.inst.demand(j);
-            for e in self.inst.span(j).edges() {
-                mu2[e] = top;
-            }
-            order.push(j);
-            self.dfs(mask | (1 << i), &mu2, weight.saturating_add(self.inst.weight(j)), order);
-            order.pop();
-        }
+        true
     }
 }
 

@@ -38,8 +38,8 @@
 //! (in stream order) and its bytes are discarded as they arrive —
 //! the server never buffers an unbounded line.
 
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{ErrorKind, Read, Write};
+use std::net::TcpListener;
 use std::sync::{Arc, Mutex};
 use std::thread;
 
@@ -388,7 +388,7 @@ impl NetSummary {
 
 /// Byte/response accounting for one connection (framing-layer facts the
 /// engine doesn't see).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct ConnTotals {
     responses: u64,
     bytes_in: u64,
@@ -404,71 +404,63 @@ fn lock_summary(summary: &Mutex<NetSummary>) -> std::sync::MutexGuard<'_, NetSum
     }
 }
 
+/// Writes one flush: the responses, each followed by `\n`, assembled in
+/// `buf` (reused across flushes) and handed to `out` in a single
+/// `write_all`. On a socket that is one `write` per flush, so Nagle
+/// never holds a batch's tail behind the peer's delayed ACK (DESIGN
+/// §15). The totals count a flush only once all its bytes were written.
+fn write_flush<W: Write>(
+    out: &mut W,
+    buf: &mut Vec<u8>,
+    responses: &[String],
+    totals: &mut ConnTotals,
+) -> std::io::Result<()> {
+    buf.clear();
+    for response in responses {
+        buf.extend_from_slice(response.as_bytes());
+        buf.push(b'\n');
+    }
+    out.write_all(buf)?;
+    totals.responses = totals.responses.saturating_add(responses.len() as u64);
+    totals.bytes_out = totals.bytes_out.saturating_add(buf.len() as u64);
+    Ok(())
+}
+
 /// Serves one established connection to completion: frame bytes, pump
-/// batches, write responses. Returns the connection's totals; transport
-/// errors end the connection quietly (the totals up to that point still
-/// count).
-fn serve_conn(
-    stream: TcpStream,
-    opts: ServeOptions,
-    net: &NetOptions,
-    cache: crate::serve::SharedCache,
-) -> (ConnTotals, crate::serve::ServeStats) {
-    let engine = ServeEngine::with_cache(opts, cache);
-    let mut pump = BatchPump::new(engine, net.batch_size);
-    let mut framer = LineFramer::new(net.max_line_bytes);
-    let mut totals = ConnTotals::default();
-    let mut reader = stream;
-    let mut writer = match reader.try_clone() {
-        Ok(w) => std::io::BufWriter::new(w),
-        Err(_) => return (totals, pump.into_engine().stats),
-    };
+/// batches, write responses. A transport error ends the connection
+/// (a partial line is dropped); `totals` and the pump's engine keep
+/// what was served up to that point.
+fn serve_conn<S: Read + Write>(
+    mut stream: S,
+    pump: &mut BatchPump,
+    max_line_bytes: usize,
+    totals: &mut ConnTotals,
+) -> std::io::Result<()> {
+    let mut framer = LineFramer::new(max_line_bytes);
+    let mut buf = Vec::new();
     let mut chunk = [0u8; 8192];
-    let write_out = |responses: Vec<String>,
-                         writer: &mut std::io::BufWriter<TcpStream>,
-                         totals: &mut ConnTotals|
-     -> std::io::Result<()> {
-        for response in responses {
-            writer.write_all(response.as_bytes())?;
-            writer.write_all(b"\n")?;
-            totals.responses = totals.responses.saturating_add(1);
-            totals.bytes_out =
-                totals.bytes_out.saturating_add(response.len() as u64).saturating_add(1);
-        }
-        // Every flush reaches the wire immediately: clients block on
-        // responses between interleaved writes.
-        writer.flush()
-    };
     loop {
-        let n = match reader.read(&mut chunk) {
+        let n = match stream.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => n,
-            Err(_) => {
-                // Peer went away mid-line; drop the partial line.
-                return (totals, pump.into_engine().stats);
-            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
         };
         totals.bytes_in = totals.bytes_in.saturating_add(n as u64);
         for item in framer.push(&chunk[..n]) {
             if let Some(responses) = pump.feed(item) {
-                if write_out(responses, &mut writer, &mut totals).is_err() {
-                    return (totals, pump.into_engine().stats);
-                }
+                write_flush(&mut stream, &mut buf, &responses, totals)?;
             }
         }
     }
     // EOF: a final unterminated line still gets an answer.
-    if let Some(item) = framer.finish() {
-        if let Some(responses) = pump.feed(item) {
-            if write_out(responses, &mut writer, &mut totals).is_err() {
-                return (totals, pump.into_engine().stats);
-            }
-        }
+    if let Some(responses) = framer.finish().and_then(|item| pump.feed(item)) {
+        write_flush(&mut stream, &mut buf, &responses, totals)?;
     }
     if let Some(responses) = pump.finish() {
-        let _ = write_out(responses, &mut writer, &mut totals);
+        write_flush(&mut stream, &mut buf, &responses, totals)?;
     }
-    (totals, pump.into_engine().stats)
+    Ok(())
 }
 
 /// Runs the network service: bind, accept, one thread per connection,
@@ -496,7 +488,7 @@ pub fn run_server(opts: &ServeOptions, net: &NetOptions) -> Result<NetSummary, S
         };
         accepted = accepted.saturating_add(1);
         let conn_opts = opts.clone();
-        let conn_net = net.clone();
+        let (max_line_bytes, batch_size) = (net.max_line_bytes, net.batch_size);
         let conn_cache = crate::serve::SharedCache::clone(&cache);
         let conn_summary = Arc::clone(&summary);
         // Drop the handles of connections that already finished: each
@@ -505,8 +497,12 @@ pub fn run_server(opts: &ServeOptions, net: &NetOptions) -> Result<NetSummary, S
         // limit. A finished thread has already absorbed its totals.
         handles.retain(|h| !h.is_finished());
         handles.push(thread::spawn(move || {
-            let (totals, stats) = serve_conn(stream, conn_opts, &conn_net, conn_cache);
-            lock_summary(&conn_summary).absorb(&totals, &stats);
+            let engine = ServeEngine::with_cache(conn_opts, conn_cache);
+            let mut pump = BatchPump::new(engine, batch_size);
+            let mut totals = ConnTotals::default();
+            // A transport error ends only this connection, quietly.
+            let _ = serve_conn(stream, &mut pump, max_line_bytes, &mut totals);
+            lock_summary(&conn_summary).absorb(&totals, &pump.engine().stats);
         }));
         if net.max_conns.is_some_and(|max| accepted >= max) {
             break;
@@ -675,5 +671,145 @@ mod tests {
         ] {
             assert!(json.contains(name), "{name} missing from {json}");
         }
+    }
+
+    /// A `Write` that records its bytes and counts `write` calls, or
+    /// fails every call.
+    #[derive(Default)]
+    struct Counting {
+        bytes: Vec<u8>,
+        writes: usize,
+        fail: bool,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            if self.fail {
+                return Err(ErrorKind::BrokenPipe.into());
+            }
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A scripted connection: reads replay `reads` in order, then EOF;
+    /// writes go to a [`Counting`] sink.
+    struct Scripted {
+        reads: std::collections::VecDeque<std::io::Result<Vec<u8>>>,
+        out: Counting,
+    }
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.reads.pop_front() {
+                None => Ok(0),
+                Some(Err(e)) => Err(e),
+                Some(Ok(bytes)) => {
+                    buf[..bytes.len()].copy_from_slice(&bytes);
+                    Ok(bytes.len())
+                }
+            }
+        }
+    }
+
+    impl Write for Scripted {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.out.write(buf)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Runs `reads` through `serve_conn` on a fresh engine.
+    fn run_scripted(
+        reads: Vec<std::io::Result<Vec<u8>>>,
+    ) -> (std::io::Result<()>, Counting, ConnTotals) {
+        let mut pump = BatchPump::new(ServeEngine::new(ServeOptions::default()), 64);
+        let mut conn = Scripted { reads: reads.into(), out: Counting::default() };
+        let mut totals = ConnTotals::default();
+        let res = serve_conn(&mut conn, &mut pump, DEFAULT_MAX_LINE_BYTES, &mut totals);
+        (res, conn.out, totals)
+    }
+
+    const INST: &str =
+        r#"{"capacities":[4,6,4],"tasks":[{"lo":0,"hi":2,"demand":2,"weight":10}]}"#;
+
+    #[test]
+    fn flush_is_one_write_of_the_concatenated_lines() {
+        // Eight ~2.5 KB responses: more than a default 8 KiB BufWriter
+        // holds, so a buffered writer would need several writes.
+        let responses: Vec<String> =
+            (0..8).map(|i| format!(r#"{{"v":1,"pad":"{}"}}"#, "x".repeat(2500 + i))).collect();
+        let want: Vec<u8> = responses.iter().flat_map(|r| r.bytes().chain([b'\n'])).collect();
+        let mut out = Counting::default();
+        let mut buf = Vec::new();
+        let mut totals = ConnTotals::default();
+        write_flush(&mut out, &mut buf, &responses, &mut totals).unwrap();
+        assert_eq!(out.writes, 1);
+        assert_eq!(out.bytes, want);
+        assert_eq!(totals.responses, 8);
+        assert_eq!(totals.bytes_out, want.len() as u64);
+        // The buffer is reused: a second flush is again one write.
+        write_flush(&mut out, &mut buf, &responses[..2], &mut totals).unwrap();
+        assert_eq!(out.writes, 2);
+        assert_eq!(totals.responses, 10);
+    }
+
+    #[test]
+    fn failed_flush_counts_nothing() {
+        let mut out = Counting { fail: true, ..Counting::default() };
+        let mut totals = ConnTotals::default();
+        let res = write_flush(&mut out, &mut Vec::new(), &[INST.to_string()], &mut totals);
+        assert!(res.is_err());
+        assert_eq!(totals, ConnTotals::default(), "the peer received nothing");
+    }
+
+    #[test]
+    fn interrupted_read_is_retried() {
+        let line = format!("{INST}\n");
+        let whole = format!("{line}{line}\n").into_bytes();
+        let (res, clean, clean_totals) = run_scripted(vec![Ok(whole.clone())]);
+        res.unwrap();
+        let (res, out, totals) = run_scripted(vec![
+            Ok(line.clone().into_bytes()),
+            Err(ErrorKind::Interrupted.into()),
+            Ok(format!("{line}\n").into_bytes()),
+        ]);
+        res.unwrap();
+        assert_eq!(out.bytes, clean.bytes, "an interrupted read loses nothing");
+        assert_eq!(out.writes, 1, "both responses leave in the blank line's flush");
+        assert_eq!(totals, clean_totals);
+        assert_eq!(totals.responses, 2);
+        assert_eq!(totals.bytes_in, whole.len() as u64);
+    }
+
+    #[test]
+    fn dead_peer_ends_the_connection_without_answering_the_partial_line() {
+        let (res, out, totals) = run_scripted(vec![
+            Ok(format!("{INST}\n\n{INST}").into_bytes()),
+            Err(ErrorKind::ConnectionReset.into()),
+        ]);
+        assert!(res.is_err());
+        assert_eq!(totals.responses, 1, "only the flushed batch was answered");
+        assert_eq!(out.writes, 1);
+        assert_eq!(out.bytes.iter().filter(|&&b| b == b'\n').count(), 1);
+    }
+
+    #[test]
+    fn eof_flushes_the_final_unterminated_line() {
+        // A full batch, then a final line with no newline: the first is
+        // one write at its blank line, the second one write at EOF.
+        let (res, out, totals) = run_scripted(vec![Ok(format!("{INST}\n\n{INST}").into_bytes())]);
+        res.unwrap();
+        assert_eq!(out.writes, 2);
+        assert_eq!(totals.responses, 2);
+        assert_eq!(totals.bytes_out, out.bytes.len() as u64);
     }
 }
