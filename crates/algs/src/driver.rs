@@ -1,20 +1,23 @@
 //! Budgeted, fault-tolerant portfolio driver.
 //!
 //! [`try_solve`] runs the Theorem 4 best-of-three portfolio under a
-//! cooperative [`Budget`], isolates each arm against panics, and degrades
-//! down a guaranteed chain when arms fail:
+//! cooperative [`Budget`], isolates each arm against panics, and falls
+//! back to one guaranteed stage when arms fail:
 //!
 //! 1. the three portfolio arms (small / medium / large), each on a
 //!    [child budget](Budget::child) and behind
 //!    [`sap_core::join3_isolated`];
-//! 2. if **no** arm produced a solution, the Lemma 13 DP over the full
-//!    task set (it is exact when it finishes, and budget-aware);
-//! 3. greedy first-fit, which needs no budget and always succeeds.
+//! 2. greedy first-fit over all ids, which needs no budget and always
+//!    succeeds. It joins the candidates when an arm whose task set is
+//!    non-empty ended [`ArmOutcome::BudgetExhausted`] or
+//!    [`ArmOutcome::Panicked`], or when no arm produced a solution.
 //!
-//! The returned [`SolveReport`] records, per arm and fallback stage, how
-//! it ended ([`ArmOutcome`]), what it weighed, and what it consumed — so a
-//! degraded answer is always *labelled* as degraded. The solution itself
-//! is feasible in every path (each producer validates in debug builds).
+//! The winner is the first heaviest of [small, medium, large, greedy], so
+//! ties go to the portfolio arms. The returned [`SolveReport`] records,
+//! per arm and for the greedy fallback, how it ended ([`ArmOutcome`]),
+//! what it weighed, and what it consumed — so a degraded answer is always
+//! *labelled* as degraded. The solution itself is feasible in every path
+//! (each producer validates in debug builds).
 //!
 //! Determinism: every arm's internal fan-out runs through
 //! [`sap_core::map_reduce_isolated`], which splits the arm budget into
@@ -28,7 +31,6 @@ use sap_core::{classify_by_size, ClassifiedTasks, Instance, SapSolution, TaskId}
 
 use crate::baselines::greedy_sap_best;
 use crate::combined::SapParams;
-use crate::lemma13::{solve_lemma13_dp, Lemma13Config};
 use crate::medium::try_solve_medium_with_stats;
 use crate::small::try_solve_small;
 
@@ -41,10 +43,10 @@ struct ArmRun {
 
 /// Runs the combined algorithm under `budget` and reports what happened.
 ///
-/// The result is always a feasible solution over `ids` — over-budget or
-/// failing arms fall down the chain (portfolio → Lemma 13 DP → greedy
-/// first-fit), and the terminal greedy stage cannot fail. The `SapResult`
-/// wrapper is for signature stability; no current path returns `Err`.
+/// The result is always a feasible solution over `ids`: when an arm with
+/// tasks runs out of budget or panics, greedy first-fit over all ids
+/// joins the candidates, and greedy cannot fail. The `SapResult` wrapper
+/// is for signature stability; no current path returns `Err`.
 pub fn try_solve(
     instance: &Instance,
     ids: &[TaskId],
@@ -163,9 +165,9 @@ pub fn try_solve(
         });
     } else {
         // The budget tripped before dispatch: every arm is exhausted by
-        // fiat and the fallback chain takes over. The reports still read
-        // the (untouched) child budgets, so any work an arm might have
-        // consumed is attributed rather than silently zeroed.
+        // fiat and greedy answers. The reports still read the (untouched)
+        // child budgets, so any work an arm might have consumed is
+        // attributed rather than silently zeroed.
         for (arm, child) in
             [("small", &small_b), ("medium", &medium_b), ("large", &large_b)]
         {
@@ -176,11 +178,29 @@ pub fn try_solve(
         }
     }
 
-    // Winner: first of [small, medium, large] attaining the maximum
-    // weight, among the arms that actually produced a solution.
+    // Greedy over all ids joins the candidates when an arm with tasks did
+    // not complete, or when no arm produced a solution at all (the budget
+    // tripped before dispatch). It needs no budget and cannot fail.
+    let arm_tasks = [&classified.small, &classified.medium, &classified.large];
+    let arm_failed = arms.iter().zip(arm_tasks).any(|(run, tasks)| {
+        !tasks.is_empty()
+            && matches!(run.report.outcome, ArmOutcome::BudgetExhausted | ArmOutcome::Panicked)
+    });
+    let mut fallbacks: Vec<&'static str> = Vec::new();
+    if arm_failed || arms.iter().all(|run| run.solution.is_none()) {
+        fallbacks.push("greedy");
+        let _phase = tele.span("greedy");
+        let sol = greedy_sap_best(instance, ids);
+        let weight = sol.weight(instance);
+        arms.push(ArmRun { report: greedy_report(weight), solution: Some(sol) });
+    }
+
+    // Winner: first of [small, medium, large, greedy] attaining the
+    // maximum weight, among the candidates that produced a solution — so
+    // ties go to the portfolio arms.
     let mut best: Option<(&'static str, SapSolution)> = None;
-    // lint:allow(b1) — three fixed arms; the per-arm work was metered
-    // inside the solves that produced them.
+    // lint:allow(b1) — at most four fixed candidates; the per-arm work
+    // was metered inside the solves that produced them.
     for run in &mut arms {
         if let Some(sol) = run.solution.take() {
             let better = match &best {
@@ -192,68 +212,20 @@ pub fn try_solve(
             }
         }
     }
+    let reports: Vec<ArmReport> = arms.into_iter().map(|r| r.report).collect();
 
-    let mut fallbacks: Vec<&'static str> = Vec::new();
-    let mut reports: Vec<ArmReport> = arms.into_iter().map(|r| r.report).collect();
-    let mut fallback_work = 0u64;
-    let mut fallback_checkpoints = 0u64;
-
-    if best.is_none() {
-        // Stage 2: the Lemma 13 DP over the full set — exact when it
-        // finishes, and still budget-aware via a fresh child.
-        fallbacks.push("lemma13");
-        let fb = budget.child().with_telemetry(tele.child("lemma13"));
-        let outcome = sap_core::run_isolated(|| {
-            let _phase = fb.telemetry().enter();
-            solve_lemma13_dp(instance, ids, Lemma13Config::default(), &fb)
-        });
-        fallback_work += fb.consumed();
-        fallback_checkpoints += fb.checkpoints_passed();
-        match outcome {
-            Ok(Ok(Some(sol))) => {
-                let weight = sol.weight(instance);
-                reports.push(arm_report("lemma13", ArmOutcome::Completed, weight, &fb, None));
-                best = Some(("lemma13", sol));
-            }
-            Ok(Ok(None)) | Ok(Err(_)) => {
-                reports.push(arm_report("lemma13", ArmOutcome::BudgetExhausted, 0, &fb, None));
-            }
-            Err(_panic) => {
-                reports.push(arm_report("lemma13", ArmOutcome::Panicked, 0, &fb, None));
-            }
-        }
-    }
-    if best.is_none() {
-        // Stage 3: greedy first-fit — no budget, cannot fail.
-        fallbacks.push("greedy");
-        let _phase = tele.span("greedy");
-        let sol = greedy_sap_best(instance, ids);
-        let weight = sol.weight(instance);
-        reports.push(ArmReport {
-            arm: "greedy",
-            outcome: ArmOutcome::Completed,
-            weight,
-            work_consumed: 0,
-            work: WorkProfile::default(),
-            fallback: None,
-        });
-        best = Some(("greedy", sol));
-    }
-
-    // lint:allow(p1) — the greedy stage above always fills `best`.
-    let (winner, solution) = best.expect("terminal greedy stage always produces a solution");
+    // lint:allow(p1) — greedy joins whenever no arm produced a solution.
+    let (winner, solution) = best.expect("greedy joins when no arm produced a solution");
     debug_assert!(solution.validate(instance).is_ok());
     let weight = solution.weight(instance);
     let work_consumed = budget.consumed()
         + small_b.consumed()
         + medium_b.consumed()
-        + large_b.consumed()
-        + fallback_work;
+        + large_b.consumed();
     let checkpoints = budget.checkpoints_passed()
         + small_b.checkpoints_passed()
         + medium_b.checkpoints_passed()
-        + large_b.checkpoints_passed()
-        + fallback_checkpoints;
+        + large_b.checkpoints_passed();
     // Mirror each arm's outcome onto its phase node, so a service-level
     // profile merged from many solves (crate::obs in sap-core) can read
     // per-arm completion/exhaustion rates without re-parsing reports.
@@ -291,7 +263,9 @@ fn note_arm_outcome(tele: &sap_core::Telemetry, outcome: ArmOutcome) {
 /// replaced by unbudgeted greedy first-fit when greedy is strictly
 /// heavier (greedy carries no approximation guarantee, so the
 /// driver/combined side wins ties). The replacement is recorded in the
-/// report as a `"greedy"` arm and winner.
+/// report as a `"greedy"` arm and winner. When the driver already ran
+/// greedy as its fallback, its answer is returned unchanged, so greedy
+/// runs at most once per request.
 pub fn try_solve_practical(
     instance: &Instance,
     ids: &[TaskId],
@@ -299,18 +273,14 @@ pub fn try_solve_practical(
     budget: &Budget,
 ) -> SapResult<(SapSolution, SolveReport)> {
     let (sol, mut report) = try_solve(instance, ids, params, budget)?;
+    if report.fallbacks.contains(&"greedy") {
+        return Ok((sol, report));
+    }
     let greedy = greedy_sap_best(instance, ids);
     let gw = greedy.weight(instance);
     debug_assert!(greedy.validate(instance).is_ok());
     if gw > report.weight {
-        report.arms.push(ArmReport {
-            arm: "greedy",
-            outcome: ArmOutcome::Completed,
-            weight: gw,
-            work_consumed: 0,
-            work: WorkProfile::default(),
-            fallback: None,
-        });
+        report.arms.push(greedy_report(gw));
         note_arm_outcome(&budget.telemetry().child("greedy"), ArmOutcome::Completed);
         report.winner = "greedy";
         report.weight = gw;
@@ -331,6 +301,18 @@ fn classify_restricted(
         small: all.small.into_iter().filter(|j| wanted.contains(j)).collect(),
         medium: all.medium.into_iter().filter(|j| wanted.contains(j)).collect(),
         large: all.large.into_iter().filter(|j| wanted.contains(j)).collect(),
+    }
+}
+
+/// The report entry of a greedy run: greedy meters no work units.
+fn greedy_report(weight: u64) -> ArmReport {
+    ArmReport {
+        arm: "greedy",
+        outcome: ArmOutcome::Completed,
+        weight,
+        work_consumed: 0,
+        work: WorkProfile::default(),
+        fallback: None,
     }
 }
 
@@ -415,7 +397,7 @@ mod tests {
         sol.validate(&inst).unwrap();
         assert!(!sol.is_empty());
         assert_eq!(report.winner, "greedy");
-        assert_eq!(report.fallbacks, vec!["lemma13", "greedy"]);
+        assert_eq!(report.fallbacks, vec!["greedy"]);
         assert!(!report.is_clean());
         for arm in ["small", "medium", "large"] {
             assert_eq!(report.arm(arm).unwrap().outcome, ArmOutcome::BudgetExhausted);

@@ -9,6 +9,11 @@
 //! reaching the same state are merged, and a task whose grounded height
 //! already overflows its bottleneck can never be placed later (profiles
 //! only grow), which yields a sound remaining-weight prune.
+//!
+//! μ is kept per *elementary interval* (a run of edges between
+//! consecutive distinct task endpoints), not per edge: μ is constant
+//! across one, so states map one to one onto per-edge states, and a state
+//! is at most `2n` words whatever the path's length (DESIGN.md §10).
 
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -73,15 +78,16 @@ type StateSet = HashSet<Box<[u64]>, BuildHasherDefault<StateHasher>>;
 struct Search<'a> {
     ids: &'a [TaskId],
     /// Per-position task data, indexed like `ids`. `cols` is the task's
-    /// span as a column range of a state slot (edge `e` is column
-    /// `e + 1`, after the mask).
+    /// span as a column range of a state slot (elementary interval `k`
+    /// is column `k + 1`, after the mask).
     cols: Vec<Range<usize>>,
     demand: Vec<u64>,
     weight: Vec<u64>,
     bottleneck: Vec<u64>,
-    /// One `[mask, μ(0), …, μ(m-1)]` state per depth, `width = m + 1`
-    /// words each: a node's state is the probe key itself, and a child's
-    /// is written into the next slot.
+    /// One `[mask, μ(0), …, μ(k-1)]` state per depth over the `k`
+    /// elementary intervals, `width = k + 1` words each: a node's state
+    /// is the probe key itself, and a child's is written into the next
+    /// slot.
     states: Vec<u64>,
     width: usize,
     /// `(position, grounded height)` candidates, stacked by depth: a
@@ -109,10 +115,17 @@ pub fn solve_exact_sap(
     budget: &Budget,
 ) -> SapResult<Option<SapSolution>> {
     assert!(ids.len() <= 64, "exact solver limited to 64 tasks");
-    let width = instance.num_edges() + 1;
+    // Distinct task endpoints, sorted: elementary interval `k` runs from
+    // `ends[k]` to `ends[k + 1]`.
+    let mut ends: Vec<usize> =
+        ids.iter().flat_map(|&j| [instance.span(j).lo, instance.span(j).hi]).collect();
+    ends.sort_unstable();
+    ends.dedup();
+    let col = |e: usize| ends.partition_point(|&x| x < e) + 1;
+    let width = ends.len().max(1);
     let mut s = Search {
         ids,
-        cols: ids.iter().map(|&j| instance.span(j)).map(|s| s.lo + 1..s.hi + 1).collect(),
+        cols: ids.iter().map(|&j| instance.span(j)).map(|s| col(s.lo)..col(s.hi)).collect(),
         demand: ids.iter().map(|&j| instance.demand(j)).collect(),
         weight: ids.iter().map(|&j| instance.weight(j)).collect(),
         bottleneck: ids.iter().map(|&j| instance.bottleneck(j)).collect(),

@@ -16,7 +16,9 @@
 //! subset-sum set, polynomial for constant `L` exactly as the paper
 //! states, and practical for the class sizes the medium-task algorithm
 //! produces. The test-suite cross-validates it against the independent
-//! search-based exact solver ([`crate::exact`]).
+//! search-based exact solver ([`crate::exact`]). It is kept as the
+//! paper's reference DP: no solve path calls it, since Elevator runs
+//! that search per class.
 
 use std::collections::BTreeMap;
 

@@ -39,7 +39,7 @@ pub use driver::{try_solve, try_solve_practical};
 pub use exact::{is_sap_feasible, solve_exact_sap, ExactConfig};
 pub use large::try_solve_large;
 pub use lemma13::{solve_lemma13_dp, Lemma13Config};
-pub use medium::{try_solve_medium_with_stats, ElevatorSolver, MediumParams};
+pub use medium::{try_solve_medium_with_stats, MediumParams};
 pub use ring::{solve_ring, RingParams};
 pub use sapu::solve_sapu_exact_dp;
 pub use small::{try_solve_small, SmallAlgo, SmallRun};

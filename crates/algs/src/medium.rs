@@ -22,11 +22,13 @@
 //!
 //! **Elevator's optimal sub-solver.** Lemma 13's dynamic program is
 //! polynomial for constant `ℓ, δ` but with an impractical exponent
-//! (`n^{O((2^ℓ/δ)²)}`); we use the equivalent exact state-space search of
-//! [`crate::exact`] (same output — an optimal class solution) and fall
-//! back to the greedy baseline when a class exceeds the search budget.
-//! The `T2` experiment reports how often the fallback fires (never, on
-//! the evaluation workloads).
+//! (`n^{O((2^ℓ/δ)²)}`). Elevator runs the exact state-space search of
+//! [`crate::exact`] instead: it returns an optimal class solution too.
+//! A class of more than [`MediumParams::max_class_size`] tasks, or one
+//! whose search exceeds [`MediumParams::exact`]'s state cap, gets the
+//! greedy baseline instead. The `T2` experiment reports how many classes
+//! were solved exactly. The paper's DP stays in [`crate::lemma13`] as a
+//! reference, cross-checked against the search in its own tests.
 
 use sap_core::budget::{Budget, CheckpointClass};
 use sap_core::error::SapResult;
@@ -37,17 +39,6 @@ use sap_core::{
 
 use crate::baselines::greedy_sap_best;
 use crate::exact::{solve_exact_sap, ExactConfig};
-use crate::lemma13::{solve_lemma13_dp, Lemma13Config};
-
-/// Which optimal sub-solver Elevator uses per class (both are exact; they
-/// cross-validate each other in the test-suite).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ElevatorSolver {
-    /// The state-space search of [`crate::exact`] (default; fastest).
-    Search,
-    /// The paper's Lemma 13 proper-pair DP ([`crate::lemma13`]).
-    Lemma13Dp,
-}
 
 /// Parameters of the medium-task algorithm.
 #[derive(Debug, Clone, Copy)]
@@ -63,8 +54,6 @@ pub struct MediumParams {
     /// Per-class task-count cap beyond which the greedy fallback is used
     /// (the exact search is limited to 64 tasks).
     pub max_class_size: usize,
-    /// Which exact sub-solver Elevator runs per class.
-    pub solver: ElevatorSolver,
 }
 
 impl Default for MediumParams {
@@ -77,7 +66,6 @@ impl Default for MediumParams {
             // `MediumStats::exact_classes`).
             exact: ExactConfig { max_states: 400_000 },
             max_class_size: 28,
-            solver: ElevatorSolver::Search,
         }
     }
 }
@@ -249,16 +237,7 @@ fn elevator(
     };
     let sub_ids = sub.all_ids();
     let (opt, was_exact) = if sub_ids.len() <= params.max_class_size.min(64) {
-        let solved = match params.solver {
-            ElevatorSolver::Search => solve_exact_sap(&sub, &sub_ids, params.exact, budget)?,
-            ElevatorSolver::Lemma13Dp => solve_lemma13_dp(
-                &sub,
-                &sub_ids,
-                Lemma13Config { max_states: params.exact.max_states, max_heights: 4096 },
-                budget,
-            )?,
-        };
-        match solved {
+        match solve_exact_sap(&sub, &sub_ids, params.exact, budget)? {
             Some(s) => (s, true),
             None => (greedy_sap_best(&sub, &sub_ids), false),
         }
@@ -371,26 +350,18 @@ mod tests {
     }
 
     #[test]
-    fn both_elevator_solvers_satisfy_the_bound() {
-        // Both sub-solvers are exact in *weight* per class, but different
-        // optimal *height assignments* split differently under Lemma 14,
-        // so the framework outputs may differ — each must stay within the
-        // Theorem-2 bound (ℓ=4, q=2 ⇒ 3) of the true optimum.
+    fn elevator_satisfies_the_bound() {
+        // The framework output stays within the Theorem-2 bound
+        // (ℓ=4, q=2 ⇒ 3) of the true optimum.
         for seed in 0..2 {
             let inst = medium_instance(seed + 40, 4, 9);
             let ids = inst.all_ids();
             let opt = exact(&inst, &ids);
-            for solver in [ElevatorSolver::Search, ElevatorSolver::Lemma13Dp] {
-                let sol = solve_medium(
-                    &inst,
-                    &ids,
-                    MediumParams { solver, ..Default::default() },
-                );
-                sol.validate(&inst).unwrap();
-                let w = sol.weight(&inst);
-                assert!(w <= opt);
-                assert!(3 * w >= opt, "seed {seed} {solver:?}: {w} vs opt {opt}");
-            }
+            let sol = solve_medium(&inst, &ids, MediumParams::default());
+            sol.validate(&inst).unwrap();
+            let w = sol.weight(&inst);
+            assert!(w <= opt);
+            assert!(3 * w >= opt, "seed {seed}: {w} vs opt {opt}");
         }
     }
 

@@ -6,8 +6,8 @@
 //! is expected to call [`Budget::checkpoint`] at its natural loop
 //! boundaries (simplex pivots, DP rows, rectangle-packing sweeps). A
 //! checkpoint that trips returns [`SapError::BudgetExhausted`], which the
-//! driver converts into a fallback down the chain
-//! (combined → Lemma 13 DP → greedy first-fit) rather than a hard failure.
+//! driver turns into a fallback to greedy first-fit rather than a hard
+//! failure.
 //!
 //! Determinism contract: the wall clock is consulted **only** when a
 //! deadline was explicitly set. A budget limited purely by work units
@@ -603,7 +603,7 @@ impl fmt::Display for ArmOutcome {
 /// Outcome of one portfolio arm, as recorded in a [`SolveReport`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArmReport {
-    /// Arm name: `"small"`, `"medium"`, `"large"`, `"lemma13"`, `"greedy"`.
+    /// Arm name: `"small"`, `"medium"`, `"large"`, `"greedy"`.
     pub arm: &'static str,
     /// How the arm ended.
     pub outcome: ArmOutcome,
@@ -627,7 +627,7 @@ pub struct ArmReport {
 pub const REPORT_SCHEMA_VERSION: u64 = 1;
 
 /// Machine-readable account of a driver solve: per-arm outcomes, the
-/// fallback chain that fired, and budget consumption.
+/// fallback that fired, and budget consumption.
 ///
 /// The report deliberately contains **no timing fields**, so byte-identical
 /// reports certify deterministic degradation (see the budget-determinism
@@ -636,8 +636,7 @@ pub const REPORT_SCHEMA_VERSION: u64 = 1;
 pub struct SolveReport {
     /// One entry per arm and fallback stage that ran, in execution order.
     pub arms: Vec<ArmReport>,
-    /// Stage-level fallbacks fired by the driver, in order
-    /// (subset of `["lemma13", "greedy"]`).
+    /// Stage-level fallbacks fired by the driver: `[]` or `["greedy"]`.
     pub fallbacks: Vec<&'static str>,
     /// Name of the arm whose solution was returned.
     pub winner: &'static str,

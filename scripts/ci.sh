@@ -31,7 +31,9 @@
 #      replayed twice at --workers 1 and once at --workers 8; all three
 #      stdouts must be byte-identical (admission, degradation, and shed
 #      decisions are width- and replay-invariant) and the stream must
-#      actually shed (the gate must not pass vacuously).
+#      actually shed (the gate must not pass vacuously). Its starved
+#      medium arms must make greedy join as the driver's only fallback
+#      (`"fallbacks":["greedy"]`), and no response may name `lemma13`.
 #  10. the observability determinism gate: the same overloaded stream run
 #      with per-batch snapshots interleaved into stdout, a snapshot side
 #      channel, and a shutdown Chrome trace — twice at --workers 1 and
@@ -162,6 +164,11 @@ diff "$tmpdir/overload-w1a.ndjson" "$tmpdir/overload-w8.ndjson" \
     || { echo "shed/degrade decisions depend on the worker width" >&2; exit 1; }
 grep -q '"status":"shed"' "$tmpdir/overload-w1a.ndjson" \
     || { echo "overload stream never shed — gate is vacuous" >&2; exit 1; }
+grep -q '"fallbacks":\["greedy"\]' "$tmpdir/overload-w1a.ndjson" \
+    || { echo "no starved request fell back to greedy — gate is vacuous" >&2; exit 1; }
+if grep -q 'lemma13' "$tmpdir/overload-w1a.ndjson"; then
+    echo "a response names the removed lemma13 fallback" >&2; exit 1
+fi
 
 echo "==> observability determinism gate"
 # The gate-9 overload stream again, now with the obs plane on: snapshot

@@ -29,18 +29,19 @@
 //!
 //! 1. **Full** — the request's own cost: its explicit `work_units`, or
 //!    [`estimate_units`] when uncapped. The request solves untouched.
-//! 2. **Lemma-13** ([`Rung::Lemma13`]) — cost ÷ [`LEMMA13_DIVISOR`]:
-//!    the solve runs under this reduced budget, which starves the
-//!    portfolio arms on hard instances and lets the driver's fallback
-//!    chain (portfolio → Lemma 13 DP → greedy) answer instead.
-//! 3. **Greedy floor** ([`Rung::Greedy`]) — [`GREEDY_FLOOR_UNITS`]: a
-//!    budget so small only the checkpoint-free greedy stage can finish.
+//! 2. **Reduced** ([`Rung::Reduced`]) — cost ÷ [`REDUCED_DIVISOR`]:
+//!    the solve runs under this reduced budget. An arm with tasks that
+//!    runs out of it makes the driver add greedy first-fit as a
+//!    candidate, so the answer weighs at least greedy's.
+//! 3. **Greedy floor** ([`Rung::Greedy`]) — [`GREEDY_FLOOR_UNITS`], the
+//!    same rule at a few units: only an arm whose work fits in them (a
+//!    tiny or empty task set) completes.
 //! 4. **Shed** — even the greedy floor doesn't fit: the engine emits a
 //!    structured `{"v":1,"status":"shed","reason":…}` line and runs no
 //!    solver at all. The service degrades or sheds, it never stalls.
 //!
 //! The rung names the *budget tier*, not the winning arm: an easy
-//! instance may still complete its portfolio inside a Lemma-13-rung
+//! instance may still complete its portfolio inside a reduced-rung
 //! budget. What the ladder guarantees is that the admitted cost is
 //! bounded and that the outcome is a pure function of the request
 //! stream and the configuration.
@@ -61,12 +62,12 @@ use std::collections::BTreeMap;
 use sap_core::FaultPlan;
 
 /// Work-unit budget of the ladder's terminal rung: large enough for the
-/// driver to dispatch, far too small for any portfolio arm — only the
-/// checkpoint-free greedy stage can complete under it.
+/// driver to dispatch, small enough that an arm with real work to do
+/// runs out of it, which makes the driver add greedy as a candidate.
 pub const GREEDY_FLOOR_UNITS: u64 = 8;
 
-/// The Lemma-13 rung admits at the full cost divided by this.
-pub const LEMMA13_DIVISOR: u64 = 4;
+/// The reduced rung admits at the full cost divided by this.
+pub const REDUCED_DIVISOR: u64 = 4;
 
 /// A tenant bucket holds at most `quota × TENANT_BURST_FACTOR` tokens.
 pub const TENANT_BURST_FACTOR: u64 = 2;
@@ -88,10 +89,10 @@ pub fn estimate_units(tasks: usize) -> u64 {
 pub enum Rung {
     /// Admitted at the request's own cost; the solve runs untouched.
     Full,
-    /// Admitted at a quarter of the full cost — the budget tier that
-    /// forces the cheaper arm chain on hard instances.
-    Lemma13,
-    /// Admitted at the greedy floor; only the terminal greedy stage fits.
+    /// Admitted at a quarter of the full cost; on hard instances an arm
+    /// runs out of it and greedy joins the candidates.
+    Reduced,
+    /// Admitted at the greedy floor, [`GREEDY_FLOOR_UNITS`].
     Greedy,
 }
 
@@ -100,7 +101,7 @@ impl Rung {
     pub fn as_str(self) -> &'static str {
         match self {
             Rung::Full => "full",
-            Rung::Lemma13 => "lemma13",
+            Rung::Reduced => "reduced",
             Rung::Greedy => "greedy",
         }
     }
@@ -165,8 +166,8 @@ impl AdmissionConfig {
 pub struct AdmissionStats {
     /// Requests admitted (any rung).
     pub admitted: u64,
-    /// Requests admitted at the Lemma-13 rung.
-    pub degraded_lemma13: u64,
+    /// Requests admitted at the reduced rung.
+    pub degraded_reduced: u64,
     /// Requests admitted at the greedy floor.
     pub degraded_greedy: u64,
     /// Requests shed because the global pool was exhausted.
@@ -298,11 +299,11 @@ impl AdmissionController {
         // The ladder, highest rung first. Rungs whose cost is not
         // strictly below the previous rung's are skipped (a tiny full
         // cost collapses the ladder).
-        let lemma13 = (full / LEMMA13_DIVISOR).max(GREEDY_FLOOR_UNITS.saturating_mul(2));
+        let reduced = (full / REDUCED_DIVISOR).max(GREEDY_FLOOR_UNITS.saturating_mul(2));
         let greedy = GREEDY_FLOOR_UNITS;
         let mut rungs: Vec<(Rung, u64)> = vec![(Rung::Full, full)];
-        if lemma13 < full {
-            rungs.push((Rung::Lemma13, lemma13));
+        if reduced < full {
+            rungs.push((Rung::Reduced, reduced));
         }
         if greedy < rungs[rungs.len() - 1].1 {
             rungs.push((Rung::Greedy, greedy));
@@ -317,9 +318,9 @@ impl AdmissionController {
                 self.stats.admitted = self.stats.admitted.saturating_add(1);
                 match rung {
                     Rung::Full => {}
-                    Rung::Lemma13 => {
-                        self.stats.degraded_lemma13 =
-                            self.stats.degraded_lemma13.saturating_add(1);
+                    Rung::Reduced => {
+                        self.stats.degraded_reduced =
+                            self.stats.degraded_reduced.saturating_add(1);
                     }
                     Rung::Greedy => {
                         self.stats.degraded_greedy =
@@ -388,13 +389,13 @@ mod tests {
         let mut ac = AdmissionController::new(cfg);
         ac.tick();
         // 800 fits fully; the next 800 only at 800/4 = 200 — wait, pool
-        // is 200 after the first: 800 > 200, 200 == 200 fits (lemma13).
+        // is 200 after the first: 800 > 200, 200 == 200 fits (reduced).
         assert_eq!(admitted(ac.decide(800, None)), (Rung::Full, 800));
-        assert_eq!(admitted(ac.decide(800, None)), (Rung::Lemma13, 200));
+        assert_eq!(admitted(ac.decide(800, None)), (Rung::Reduced, 200));
         // Pool is now 0: only shedding is left, greedy floor included.
         assert_eq!(ac.decide(800, None), Decision::Shed(ShedReason::Capacity));
         assert_eq!(ac.stats.admitted, 2);
-        assert_eq!(ac.stats.degraded_lemma13, 1);
+        assert_eq!(ac.stats.degraded_reduced, 1);
         assert_eq!(ac.stats.shed_capacity, 1);
         // A fresh tick replenishes the pool.
         ac.tick();
@@ -406,7 +407,7 @@ mod tests {
         let cfg = AdmissionConfig { max_inflight_units: Some(10), tenant_quota: None };
         let mut ac = AdmissionController::new(cfg);
         ac.tick();
-        // 400 → lemma13 100 → greedy 8: only the floor fits the pool.
+        // 400 → reduced 100 → greedy 8: only the floor fits the pool.
         assert_eq!(admitted(ac.decide(400, None)), (Rung::Greedy, GREEDY_FLOOR_UNITS));
         assert_eq!(ac.stats.degraded_greedy, 1);
         // 2 units left: nothing fits.
@@ -421,7 +422,7 @@ mod tests {
         // Burst = 200: two 100-unit requests pass at full.
         assert_eq!(admitted(ac.decide(100, Some("a"))), (Rung::Full, 100));
         assert_eq!(admitted(ac.decide(100, Some("a"))), (Rung::Full, 100));
-        // Bucket empty: 100 → lemma13 25 doesn't fit either → greedy 8
+        // Bucket empty: 100 → reduced 25 doesn't fit either → greedy 8
         // doesn't fit → quota shed.
         assert_eq!(ac.decide(100, Some("a")), Decision::Shed(ShedReason::Quota));
         assert_eq!(ac.stats.shed_quota, 1);
@@ -443,19 +444,19 @@ mod tests {
     }
 
     #[test]
-    fn tenant_degradation_takes_the_lemma13_rung_when_it_fits() {
+    fn tenant_degradation_takes_the_reduced_rung_when_it_fits() {
         let cfg = AdmissionConfig { max_inflight_units: None, tenant_quota: Some(150) };
         let mut ac = AdmissionController::new(cfg);
         ac.tick();
-        // Burst 300: full 280 fits; then full 280 > 20 left, lemma13
+        // Burst 300: full 280 fits; then full 280 > 20 left, reduced
         // 280/4 = 70 > 20, greedy 8 fits.
         assert_eq!(admitted(ac.decide(280, Some("a"))), (Rung::Full, 280));
         assert_eq!(admitted(ac.decide(280, Some("a"))), (Rung::Greedy, 8));
         assert_eq!(ac.stats.tenant_throttled, 1);
-        // After a refill (level 12 + 150 = 162): lemma13 70 fits.
+        // After a refill (level 12 + 150 = 162): reduced 70 fits.
         ac.tick();
-        assert_eq!(admitted(ac.decide(280, Some("a"))), (Rung::Lemma13, 70));
-        assert_eq!(ac.stats.degraded_lemma13, 1);
+        assert_eq!(admitted(ac.decide(280, Some("a"))), (Rung::Reduced, 70));
+        assert_eq!(ac.stats.degraded_reduced, 1);
         assert_eq!(ac.stats.degraded_greedy, 1);
     }
 

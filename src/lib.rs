@@ -97,9 +97,9 @@ pub fn solve_sap(instance: &Instance) -> SapSolution {
 /// cooperative [`Budget`] and also returns the [`SolveReport`] describing
 /// per-arm outcomes and any degradation that occurred.
 ///
-/// The solution is always feasible — over-budget or failing arms fall
-/// down the chain combined → Lemma 13 DP → greedy first-fit (see
-/// [`sap_algs::driver`]).
+/// The solution is always feasible: when an arm with tasks runs out of
+/// budget or panics, greedy first-fit over all tasks joins the
+/// candidates, and the heaviest answer wins (see [`sap_algs::driver`]).
 pub fn try_solve_sap(
     instance: &Instance,
     budget: &Budget,

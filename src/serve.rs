@@ -49,12 +49,12 @@
 //! [`crate::admission::estimate_units`] of its task count) must fit the
 //! global per-batch pool and its tenant's token bucket. Requests that
 //! don't fit walk the degradation ladder — admitted at a quarter of the
-//! cost (the Lemma-13 rung), then at the greedy floor, each enforced as
-//! the solve's actual work-unit budget so the driver's fallback chain
-//! (portfolio → Lemma 13 DP → greedy) answers cheaper — and only when
-//! even the floor doesn't fit is the request shed. Admission decisions
-//! happen in the sequential classification pass and charge the pools
-//! even when the response is later served from cache, so the
+//! cost (the reduced rung), then at the greedy floor, each enforced as
+//! the solve's actual work-unit budget, so an arm with tasks that runs
+//! out of it makes the driver add greedy first-fit as a candidate — and
+//! only when even the floor doesn't fit is the request shed. Admission
+//! decisions happen in the sequential classification pass and charge the
+//! pools even when the response is later served from cache, so the
 //! admit/degrade/shed sequence is a pure function of the request stream
 //! and configuration: cache warmth and worker width cannot shift it.
 //! Tenant buckets refill on batch ticks (logical time, never wall
@@ -246,7 +246,6 @@ fn winner_counter(winner: &str) -> &'static str {
         "small" => "serve.winner.small",
         "medium" => "serve.winner.medium",
         "large" => "serve.winner.large",
-        "lemma13" => "serve.winner.lemma13",
         "greedy" => "serve.winner.greedy",
         _ => {
             // A renamed or brand-new arm must be added to this table,
@@ -511,7 +510,6 @@ fn obs_winner_counter(winner: &str) -> &'static str {
         "small" => "obs.winner.small",
         "medium" => "obs.winner.medium",
         "large" => "obs.winner.large",
-        "lemma13" => "obs.winner.lemma13",
         "greedy" => "obs.winner.greedy",
         _ => {
             debug_assert!(false, "unmapped winner arm {winner:?}: extend obs_winner_counter");
@@ -539,7 +537,7 @@ fn note_obs(
     agg.count("obs.requests", 1);
     match attr.outcome {
         ObsOutcome::Admitted(Rung::Full) => agg.count("obs.rung.full", 1),
-        ObsOutcome::Admitted(Rung::Lemma13) => agg.count("obs.rung.lemma13", 1),
+        ObsOutcome::Admitted(Rung::Reduced) => agg.count("obs.rung.reduced", 1),
         ObsOutcome::Admitted(Rung::Greedy) => agg.count("obs.rung.greedy", 1),
         ObsOutcome::Shed(ShedReason::Capacity) => agg.count("obs.shed.capacity", 1),
         ObsOutcome::Shed(ShedReason::Quota) => agg.count("obs.shed.quota", 1),
@@ -582,7 +580,7 @@ fn note_obs(
             RespKind::Shed => t.shed = t.shed.saturating_add(1),
         }
         t.work = t.work.saturating_add(total);
-        if matches!(attr.outcome, ObsOutcome::Admitted(Rung::Lemma13 | Rung::Greedy)) {
+        if matches!(attr.outcome, ObsOutcome::Admitted(Rung::Reduced | Rung::Greedy)) {
             t.degraded = t.degraded.saturating_add(1);
         }
     }
@@ -908,7 +906,7 @@ impl ServeEngine {
         tele.count("serve.shard.max_entries", max_shard as u64);
         let adm = &self.admission.stats;
         tele.count("serve.admitted", adm.admitted);
-        tele.count("serve.degraded.lemma13", adm.degraded_lemma13);
+        tele.count("serve.degraded.reduced", adm.degraded_reduced);
         tele.count("serve.degraded.greedy", adm.degraded_greedy);
         tele.count("serve.shed.quota", adm.shed_quota);
         tele.count("serve.shed.capacity", adm.shed_capacity);
@@ -992,7 +990,7 @@ impl ServeEngine {
             self.stats.cache_misses,
             self.stats.cache_evictions,
             adm.admitted,
-            adm.degraded_lemma13 + adm.degraded_greedy,
+            adm.degraded_reduced + adm.degraded_greedy,
             adm.tenant_throttled
         )
     }
@@ -1060,7 +1058,7 @@ mod tests {
 
     #[test]
     fn known_arm_names_map_to_dedicated_counters() {
-        for arm in ["small", "medium", "large", "lemma13", "greedy"] {
+        for arm in ["small", "medium", "large", "greedy"] {
             assert_ne!(winner_counter(arm), "serve.winner.other", "{arm}");
         }
         for outcome in ["completed", "budget_exhausted", "lp_non_optimal", "panicked"] {
@@ -1098,7 +1096,7 @@ mod tests {
     #[test]
     fn overload_walks_the_ladder_then_sheds() {
         // Pool of 250 per batch; every request declares cost 200, so a
-        // batch of three admits: full(200), lemma13(50), then sheds.
+        // batch of three admits: full(200), reduced(50), then sheds.
         let opts = ServeOptions {
             max_inflight_units: Some(250),
             cache_size: 0,
@@ -1113,7 +1111,7 @@ mod tests {
         assert_eq!(out[2], r#"{"v":1,"status":"shed","reason":"capacity"}"#);
         let adm = engine.admission_stats();
         assert_eq!(adm.admitted, 2);
-        assert_eq!(adm.degraded_lemma13, 1);
+        assert_eq!(adm.degraded_reduced, 1);
         assert_eq!(adm.shed_capacity, 1);
         assert_eq!(engine.stats.shed, 1);
         assert_eq!(engine.stats.ok, 2);

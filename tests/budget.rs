@@ -8,8 +8,10 @@
 //! * Every degradation path still yields a validator-clean solution, and
 //!   the report says what happened.
 
+use storage_alloc::admission::GREEDY_FLOOR_UNITS;
 use storage_alloc::prelude::*;
-use storage_alloc::sap_core::{ArmOutcome, Budget};
+use storage_alloc::sap_algs::baselines::greedy_sap_best;
+use storage_alloc::sap_core::{ArmOutcome, Budget, SolveReport};
 use storage_alloc::sap_gen::{generate, CapacityProfile, DemandRegime, GenConfig};
 use storage_alloc::{solve_sap, try_solve_sap, try_solve_sap_practical};
 
@@ -165,4 +167,90 @@ fn solve_sap_wrappers_are_feasible_and_practical_dominates() {
     let practical = storage_alloc::solve_sap_practical(&inst);
     practical.validate(&inst).unwrap();
     assert!(practical.weight(&inst) >= combined.weight(&inst));
+}
+
+/// The instance `sap generate --edges E --tasks N --regime R --seed S`
+/// writes.
+fn cli_instance(edges: usize, tasks: usize, regime: DemandRegime, seed: u64) -> Instance {
+    generate(
+        &GenConfig {
+            num_edges: edges,
+            num_tasks: tasks,
+            profile: CapacityProfile::RandomWalk { lo: 64, hi: 1024 },
+            regime,
+            max_span: edges.div_ceil(2),
+            max_weight: 100,
+        },
+        seed,
+    )
+}
+
+const CLI_REGIMES: [DemandRegime; 4] = [
+    DemandRegime::Small { delta_inv: 16 },
+    DemandRegime::Medium { delta_inv: 8 },
+    DemandRegime::Large { k: 2 },
+    DemandRegime::Mixed,
+];
+
+/// Asserts the fallback rule on one budgeted `combined` solve: greedy is
+/// the only fallback, it fired, and the answer weighs at least greedy's.
+fn assert_greedy_fallback(inst: &Instance, limit: u64, what: &str) -> SolveReport {
+    let (sol, report) = try_solve_sap(inst, &Budget::unlimited().with_work_units(limit)).unwrap();
+    sol.validate(inst).unwrap();
+    let greedy = greedy_sap_best(inst, &inst.all_ids()).weight(inst);
+    assert_eq!(report.fallbacks, vec!["greedy"], "{what} at {limit}: {report:?}");
+    assert_eq!(report.weight, sol.weight(inst), "{what} at {limit}");
+    assert!(report.weight >= greedy, "{what} at {limit}: {} < greedy {greedy}", report.weight);
+    let names: Vec<&str> = report.arms.iter().map(|a| a.arm).collect();
+    assert_eq!(names, ["small", "medium", "large", "greedy"], "{what} at {limit}");
+    assert!(report.arm(report.winner).is_some(), "{what} at {limit}: {report:?}");
+    // Greedy already ran as the fallback, so practical returns the
+    // driver's answer unchanged instead of running greedy again.
+    let (psol, preport) =
+        try_solve_sap_practical(inst, &Budget::unlimited().with_work_units(limit)).unwrap();
+    assert_eq!(psol, sol, "{what} at {limit}: practical changed the answer");
+    assert_eq!(preport, report, "{what} at {limit}: practical changed the report");
+    report
+}
+
+#[test]
+fn starved_combined_solves_fall_back_to_greedy_and_weigh_at_least_greedy() {
+    // Under these limits an arm with tasks always runs out of budget,
+    // while an arm with no tasks completes with the empty solution; the
+    // answer must still be greedy's, not the empty arm's.
+    for regime in CLI_REGIMES {
+        for seed in 1..=3 {
+            let inst = cli_instance(12, 40, regime, seed);
+            for limit in [1, GREEDY_FLOOR_UNITS] {
+                let report = assert_greedy_fallback(&inst, limit, &format!("{regime:?} {seed}"));
+                assert!(report.weight > 0, "{regime:?} {seed} at {limit}: empty answer");
+            }
+        }
+    }
+}
+
+#[test]
+fn exhausted_medium_arm_adds_greedy_on_the_mixed80_corpus() {
+    // `mixed80` seed 4: greedy packs 1164. At 1M units the medium arm
+    // still runs out while the small and large arms complete lighter.
+    let inst = cli_instance(12, 80, DemandRegime::Mixed, 4);
+    for limit in [1, GREEDY_FLOOR_UNITS, 1_000_000] {
+        let report = assert_greedy_fallback(&inst, limit, "mixed80 seed 4");
+        assert!(report.weight >= 1164, "at {limit}: {report:?}");
+        assert!(report.arm("lemma13").is_none(), "at {limit}: {report:?}");
+        assert_eq!(report.arm("medium").unwrap().outcome, ArmOutcome::BudgetExhausted);
+    }
+}
+
+#[test]
+fn unlimited_combined_never_adds_greedy() {
+    for regime in CLI_REGIMES {
+        for seed in 1..=3 {
+            let inst = cli_instance(12, 40, regime, seed);
+            let (_, report) = try_solve_sap(&inst, &Budget::unlimited()).unwrap();
+            assert!(report.fallbacks.is_empty(), "{regime:?} {seed}: {report:?}");
+            assert!(report.arm("greedy").is_none(), "{regime:?} {seed}: {report:?}");
+            assert!(report.is_clean(), "{regime:?} {seed}: {report:?}");
+        }
+    }
 }

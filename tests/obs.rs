@@ -186,7 +186,7 @@ fn aggregator_work_totals_equal_fold_of_response_reports() {
     assert!(agg.counter("obs.shed") > 0);
     assert!(agg.counter("obs.rung.full") > 0);
     assert!(
-        agg.counter("obs.rung.lemma13") + agg.counter("obs.rung.greedy") > 0,
+        agg.counter("obs.rung.reduced") + agg.counter("obs.rung.greedy") > 0,
         "quota pressure must degrade at least one request"
     );
 }

@@ -13,6 +13,8 @@ use std::process::{Command, Stdio};
 
 use storage_alloc::io::{InstanceDto, JsonDto, SolutionDto};
 use storage_alloc::json;
+use storage_alloc::net::DEFAULT_MAX_LINE_BYTES;
+use storage_alloc::sap_core::{Instance, PathNetwork};
 use storage_alloc::sap_gen::{generate, CapacityProfile, DemandRegime, GenConfig};
 use storage_alloc::serve::{ServeAlgo, ServeEngine, ServeOptions};
 
@@ -99,9 +101,9 @@ fn algo_override_is_part_of_the_cache_key() {
 
 #[test]
 fn budgeted_requests_degrade_deterministically() {
-    // A starvation budget forces the driver down its fallback chain; the
-    // response must still be ok (greedy is budget-free) and identical at
-    // any width and on replay.
+    // A starvation budget makes greedy join as the driver's fallback;
+    // the response must still be ok (greedy is budget-free) and
+    // identical at any width and on replay.
     let line = format!(r#"{{"instance":{},"work_units":1,"algo":"combined"}}"#, inst_b());
     let batches = vec![vec![line.clone(), line.clone()], vec![line]];
     let (base, engine) = run_engine(ServeOptions { workers: 1, ..Default::default() }, &batches);
@@ -184,7 +186,7 @@ fn overload_stream_degrades_and_sheds_deterministically() {
     let adm = engine.admission_stats();
     assert!(engine.stats.shed > 0, "stream should overrun the quota: {adm:?}");
     assert!(
-        adm.degraded_lemma13 + adm.degraded_greedy > 0,
+        adm.degraded_reduced + adm.degraded_greedy > 0,
         "ladder should engage before shedding: {adm:?}"
     );
     assert!(adm.admitted > 0, "{adm:?}");
@@ -270,7 +272,7 @@ fn tenant_bucket_refills_restore_service() {
     let first = engine.process_batch(&lines);
     assert!(first[0].starts_with(r#"{"v":1,"status":"ok""#));
     assert!(first[1].starts_with(r#"{"v":1,"status":"ok""#));
-    // Third request: bucket empty → lemma13 (16) and greedy (8) don't
+    // Third request: bucket empty → reduced (16) and greedy (8) don't
     // fit either → quota shed.
     assert_eq!(first[2], r#"{"v":1,"status":"shed","reason":"quota"}"#);
     let second = engine.process_batch(&lines);
@@ -294,7 +296,7 @@ fn tenantless_requests_bypass_quotas_but_not_capacity() {
     let out = engine.process_batch(&lines);
     // No tenant: the 10-unit quota never applies, only the pool does.
     assert!(out[0].starts_with(r#"{"v":1,"status":"ok""#), "{}", out[0]);
-    // Pool has 10 left: full 90 and lemma13 22 don't fit, greedy 8 does.
+    // Pool has 10 left: full 90 and reduced 22 don't fit, greedy 8 does.
     assert!(out[1].starts_with(r#"{"v":1,"status":"ok""#), "{}", out[1]);
     let adm = engine.admission_stats();
     assert_eq!(adm.degraded_greedy, 1);
@@ -347,7 +349,7 @@ fn offered_load_ladder_walks_admission_then_sheds_monotonically() {
         cache_size: 0,
         ..Default::default()
     };
-    // (requests, ok, shed, lemma13, greedy, shed_quota, shed_capacity)
+    // (requests, ok, shed, reduced, greedy, shed_quota, shed_capacity)
     // per level; level 1 is fully admitted with no degradation.
     let pinned = [
         (1, (12, 12, 0, 0, 0, 0, 0)),
@@ -362,7 +364,7 @@ fn offered_load_ladder_walks_admission_then_sheds_monotonically() {
             stats.requests,
             stats.ok,
             stats.shed,
-            adm.degraded_lemma13,
+            adm.degraded_reduced,
             adm.degraded_greedy,
             adm.shed_quota,
             adm.shed_capacity,
@@ -399,7 +401,7 @@ fn serve_binary_overload_flags_and_admission_counters() {
     assert!(stdout.contains(r#""status":"shed""#), "no shed line:\n{stdout}");
     for needle in [
         "serve.admitted",
-        "serve.degraded.lemma13",
+        "serve.degraded.reduced",
         "serve.degraded.greedy",
         "serve.shed.quota",
         "serve.shed.capacity",
@@ -647,4 +649,55 @@ fn shard_telemetry_counters_are_exported() {
     ] {
         assert!(stderr.contains(needle), "stderr missing {needle}:\n{stderr}");
     }
+}
+
+#[test]
+fn long_path_request_answers_like_its_short_path_twin() {
+    // The exact search keys its states by the elementary intervals of the
+    // class's task endpoints, not by edges: padding the path to 200k
+    // edges that no task touches leaves memory per state, the work
+    // units, the solution and the report unchanged.
+    let short = generate(
+        &GenConfig {
+            num_edges: 12,
+            num_tasks: 12,
+            profile: CapacityProfile::RandomWalk { lo: 64, hi: 1024 },
+            regime: DemandRegime::Medium { delta_inv: 8 },
+            max_span: 6,
+            max_weight: 100,
+        },
+        2,
+    );
+    let mut caps = short.network().capacities().to_vec();
+    caps.resize(200_000, 64);
+    let long =
+        Instance::new(PathNetwork::new(caps).unwrap(), short.tasks().to_vec()).unwrap();
+    let line = |inst: &Instance| {
+        format!(
+            r#"{{"instance":{},"algo":"combined"}}"#,
+            InstanceDto::from_instance(inst).to_json_string()
+        )
+    };
+    let (short_line, long_line) = (line(&short), line(&long));
+    assert!(
+        (500_000..DEFAULT_MAX_LINE_BYTES).contains(&long_line.len()),
+        "{} bytes",
+        long_line.len()
+    );
+    let (stdout, _) = run_serve_binary(&[], &format!("{short_line}\n{long_line}\n"));
+    let resp: Vec<json::Json> = stdout.lines().map(|l| json::parse(l).unwrap()).collect();
+    assert_eq!(resp.len(), 2, "{stdout}");
+    for field in ["status", "weight", "solution", "report", "telemetry"] {
+        assert_eq!(
+            resp[0].get(field).unwrap().to_string_compact(),
+            resp[1].get(field).unwrap().to_string_compact(),
+            "{field}"
+        );
+    }
+    // Non-vacuous: the medium arm answered, and its classes were solved
+    // by the exact search.
+    let report = resp[0].get("report").unwrap().to_string_compact();
+    assert!(report.contains(r#""winner":"medium""#), "{report}");
+    let telemetry = resp[0].get("telemetry").unwrap().to_string_compact();
+    assert!(telemetry.contains(r#""classes.exact":"#), "{telemetry}");
 }
