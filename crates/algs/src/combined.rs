@@ -155,6 +155,7 @@ mod tests {
             let ids = inst.all_ids();
             let opt = solve_exact_sap(&inst, &ids, ExactConfig::default(), &Budget::unlimited())
                 .unwrap()
+                .optimal()
                 .expect("budget")
                 .weight(&inst);
             let sol = solve(&inst, &ids, &SapParams::default());

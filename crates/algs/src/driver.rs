@@ -276,7 +276,10 @@ pub fn try_solve_practical(
     if report.fallbacks.contains(&"greedy") {
         return Ok((sol, report));
     }
-    let greedy = greedy_sap_best(instance, ids);
+    let greedy = {
+        let _phase = budget.telemetry().span("greedy");
+        greedy_sap_best(instance, ids)
+    };
     let gw = greedy.weight(instance);
     debug_assert!(greedy.validate(instance).is_ok());
     if gw > report.weight {

@@ -14,6 +14,10 @@
 //! consecutive distinct task endpoints), not per edge: μ is constant
 //! across one, so states map one to one onto per-edge states, and a state
 //! is at most `2n` words whatever the path's length (DESIGN.md §10).
+//!
+//! The search is *anytime*: when the memo-state cap stops it, it returns
+//! the heaviest order it had found as [`Exact::Capped`], and only an
+//! [`Exact::Optimal`] outcome is a proven optimum ([`Exact::optimal`]).
 
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -71,6 +75,30 @@ impl Hasher for StateHasher {
     }
 }
 
+/// What [`solve_exact_sap`] found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Exact {
+    /// The search finished: an optimal solution.
+    Optimal(SapSolution),
+    /// The memo-state cap stopped the search: the heaviest solution it
+    /// had found, with no optimality guarantee (the incumbent).
+    Capped(SapSolution),
+}
+
+impl Exact {
+    // lint:allow(v1) — an accessor: solve_exact_sap validated the solution
+    // it wrapped (debug builds), and this hands it back unchanged.
+    // lint:allow(v2) — same accessor; the validator ran in solve_exact_sap.
+    /// The solution when it is a proven optimum; `None` when the search
+    /// was capped. Callers that need exactness go through this.
+    pub fn optimal(self) -> Option<SapSolution> {
+        match self {
+            Exact::Optimal(sol) => Some(sol),
+            Exact::Capped(_) => None,
+        }
+    }
+}
+
 /// Visited `[mask, μ…]` states. A key is boxed only when first inserted;
 /// probes borrow a slice of the search's per-depth buffer.
 type StateSet = HashSet<Box<[u64]>, BuildHasherDefault<StateHasher>>;
@@ -106,14 +134,15 @@ struct Search<'a> {
 /// `DpRow` work unit per expanded search state against `budget` (pass
 /// [`Budget::unlimited`] for no limit).
 ///
-/// `Err(BudgetExhausted)` is the cooperative budget tripping; `Ok(None)`
-/// is the solver's own memo-state budget giving up.
+/// `Err(BudgetExhausted)` is the cooperative budget tripping, and no
+/// partial answer is kept; [`Exact::Capped`] is the solver's own
+/// memo-state cap stopping the search, with the incumbent it had found.
 pub fn solve_exact_sap(
     instance: &Instance,
     ids: &[TaskId],
     config: ExactConfig,
     budget: &Budget,
-) -> SapResult<Option<SapSolution>> {
+) -> SapResult<Exact> {
     assert!(ids.len() <= 64, "exact solver limited to 64 tasks");
     // Distinct task endpoints, sorted: elementary interval `k` runs from
     // `ends[k]` to `ends[k + 1]`.
@@ -145,16 +174,13 @@ pub fn solve_exact_sap(
     if s.budget_tripped {
         return Err(SapError::BudgetExhausted);
     }
-    if s.exhausted {
-        return Ok(None);
-    }
     let sol = canonical_heights(instance, &s.best_order)
         // lint:allow(p1) — the DFS only records orders whose canonical
         // heights it has already verified edge by edge.
         .expect("searched orders are feasible by construction");
     debug_assert_eq!(sol.weight(instance), s.best_weight);
     debug_assert!(sol.validate(instance).is_ok());
-    Ok(Some(sol))
+    Ok(if s.exhausted { Exact::Capped(sol) } else { Exact::Optimal(sol) })
 }
 
 impl Search<'_> {
@@ -232,6 +258,12 @@ impl Search<'_> {
 /// ignored: the check re-weights every task to 1 so that zero-weight
 /// tasks cannot be silently dropped.
 pub fn is_sap_feasible(instance: &Instance, ids: &[TaskId]) -> bool {
+    all_fit(instance, ids, ExactConfig::default())
+}
+
+/// [`is_sap_feasible`] under the given search budget: panics unless the
+/// search finishes.
+fn all_fit(instance: &Instance, ids: &[TaskId], config: ExactConfig) -> bool {
     let unit_tasks: Vec<sap_core::Task> = ids
         .iter()
         .map(|&j| {
@@ -243,10 +275,12 @@ pub fn is_sap_feasible(instance: &Instance, ids: &[TaskId]) -> bool {
         // lint:allow(p1) — same spans and demands over the same network as the
         // validated input instance, so revalidation cannot fail.
         .expect("restriction of a valid instance");
-    match solve_exact_sap(&unit, &unit.all_ids(), ExactConfig::default(), &Budget::unlimited()) {
+    let search = solve_exact_sap(&unit, &unit.all_ids(), config, &Budget::unlimited());
+    match search.map(Exact::optimal) {
         Ok(Some(sol)) => sol.len() == ids.len(),
         // lint:allow(p1) — a silently wrong yes/no would corrupt every
-        // downstream theorem check; exhausting the probe budget is misuse.
+        // downstream theorem check; a capped search's incumbent proves
+        // nothing, and exhausting the probe budget is misuse.
         Ok(None) | Err(_) => panic!("exact feasibility check exhausted its state budget"),
     }
 }
@@ -259,6 +293,7 @@ mod tests {
     fn exact(inst: &Instance) -> u64 {
         solve_exact_sap(inst, &inst.all_ids(), ExactConfig::default(), &Budget::unlimited())
             .unwrap()
+            .optimal()
             .expect("budget")
             .weight(inst)
     }
@@ -359,6 +394,38 @@ mod tests {
         assert!(is_sap_feasible(&inst, &[0, 2]));
         assert!(is_sap_feasible(&inst, &[1, 2]));
         assert_eq!(exact(&inst), 2);
+    }
+
+    #[test]
+    fn a_capped_search_keeps_a_feasible_incumbent() {
+        let net = PathNetwork::new(vec![10, 12, 10]).unwrap();
+        let tasks = (0..8).map(|i| Task::of(i % 3, 3, 1 + i as u64 % 3, 5 + i as u64)).collect();
+        let inst = Instance::new(net, tasks).unwrap();
+        let opt = exact(&inst);
+        let capped = solve_exact_sap(
+            &inst,
+            &inst.all_ids(),
+            ExactConfig { max_states: 3 },
+            &Budget::unlimited(),
+        )
+        .unwrap();
+        let Exact::Capped(incumbent) = capped.clone() else { panic!("{capped:?}") };
+        incumbent.validate(&inst).unwrap();
+        assert!(incumbent.weight(&inst) > 0 && incumbent.weight(&inst) <= opt);
+        assert_eq!(capped.optimal(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "exhausted its state budget")]
+    fn feasibility_panics_on_a_capped_search() {
+        let net = PathNetwork::new(vec![2, 4, 2]).unwrap();
+        let tasks = vec![
+            Task::of(0, 2, 1, 1),
+            Task::of(0, 2, 1, 1),
+            Task::of(1, 3, 1, 1),
+        ];
+        let inst = Instance::new(net, tasks).unwrap();
+        all_fit(&inst, &inst.all_ids(), ExactConfig { max_states: 1 });
     }
 
     #[test]

@@ -46,6 +46,7 @@ mod tests {
     fn exact(inst: &Instance, ids: &[TaskId]) -> u64 {
         solve_exact_sap(inst, ids, ExactConfig::default(), &Budget::unlimited())
             .unwrap()
+            .optimal()
             .expect("budget")
             .weight(inst)
     }

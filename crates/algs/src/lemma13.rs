@@ -274,6 +274,7 @@ mod tests {
             sol.validate(&inst).unwrap();
             let search = solve_exact_sap(&inst, &ids, ExactConfig::default(), &Budget::unlimited())
                 .unwrap()
+                .optimal()
                 .unwrap();
             assert_eq!(sol.weight(&inst), search.weight(&inst), "seed {seed}");
         }

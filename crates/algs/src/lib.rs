@@ -36,7 +36,7 @@ pub mod small;
 
 pub use combined::{solve, sweep_params, SapParams};
 pub use driver::{try_solve, try_solve_practical};
-pub use exact::{is_sap_feasible, solve_exact_sap, ExactConfig};
+pub use exact::{is_sap_feasible, solve_exact_sap, Exact, ExactConfig};
 pub use large::try_solve_large;
 pub use lemma13::{solve_lemma13_dp, Lemma13Config};
 pub use medium::{try_solve_medium_with_stats, MediumParams};

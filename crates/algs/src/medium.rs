@@ -24,9 +24,12 @@
 //! polynomial for constant `ℓ, δ` but with an impractical exponent
 //! (`n^{O((2^ℓ/δ)²)}`). Elevator runs the exact state-space search of
 //! [`crate::exact`] instead: it returns an optimal class solution too.
-//! A class of more than [`MediumParams::max_class_size`] tasks, or one
-//! whose search exceeds [`MediumParams::exact`]'s state cap, gets the
-//! greedy baseline instead. The `T2` experiment reports how many classes
+//! The search is anytime. When it hits [`MediumParams::exact`]'s state
+//! cap (10k states by default), the class splits both the search's
+//! incumbent and the greedy baseline, and keeps the heaviest of the four
+//! halves; Lemma 15's factor 2 then no longer holds for that class. A
+//! class of more than [`MediumParams::max_class_size`] tasks splits the
+//! greedy baseline only. The `T2` experiment reports how many classes
 //! were solved exactly. The paper's DP stays in [`crate::lemma13`] as a
 //! reference, cross-checked against the search in its own tests.
 
@@ -38,7 +41,7 @@ use sap_core::{
 };
 
 use crate::baselines::greedy_sap_best;
-use crate::exact::{solve_exact_sap, ExactConfig};
+use crate::exact::{solve_exact_sap, Exact, ExactConfig};
 
 /// Parameters of the medium-task algorithm.
 #[derive(Debug, Clone, Copy)]
@@ -49,10 +52,12 @@ pub struct MediumParams {
     /// Class width ℓ; the framework ratio is `α·(ℓ+q)/ℓ`, so
     /// `ℓ = q/ε` gives `(1+ε)·α`.
     pub ell: u32,
-    /// Budget of the per-class exact solver.
+    /// Budget of the per-class exact solver. A class whose search hits
+    /// the state cap splits the heavier of the search's incumbent and
+    /// greedy instead of an optimum.
     pub exact: ExactConfig,
-    /// Per-class task-count cap beyond which the greedy fallback is used
-    /// (the exact search is limited to 64 tasks).
+    /// Per-class task-count cap beyond which greedy alone is used (the
+    /// exact search is limited to 64 tasks).
     pub max_class_size: usize,
 }
 
@@ -61,10 +66,10 @@ impl Default for MediumParams {
         MediumParams {
             q: 2,
             ell: 4,
-            // A tighter budget than the standalone exact solver: classes
-            // that blow past it fall back to the greedy (reported in
-            // `MediumStats::exact_classes`).
-            exact: ExactConfig { max_states: 400_000 },
+            // A much tighter budget than the standalone exact solver:
+            // a capped class keeps the search's incumbent (reported in
+            // `MediumStats::capped_classes`).
+            exact: ExactConfig { max_states: 10_000 },
             max_class_size: 28,
         }
     }
@@ -82,8 +87,11 @@ impl MediumParams {
 pub struct MediumStats {
     /// Number of non-empty classes solved.
     pub classes: usize,
-    /// Classes solved exactly (vs greedy fallback).
+    /// Classes whose exact search finished, so their half is Lemma 15's.
     pub exact_classes: usize,
+    /// Classes whose exact search hit its state cap: the heavier half of
+    /// the search's incumbent and greedy stood in.
+    pub capped_classes: usize,
     /// The winning residue.
     pub best_residue: u32,
 }
@@ -135,23 +143,31 @@ pub fn try_solve_medium_with_stats(
 
     // Classes over the scaled bottlenecks (all k ≥ q since b ≥ 2^q).
     let classes = classes_k_ell(&scaled, ids, ell);
-    let class_results: Vec<SapResult<(u32, SapSolution, bool)>> =
+    let class_results: Vec<SapResult<(u32, SapSolution, ClassSolve)>> =
         map_reduce_isolated(budget, &classes, workers, |(k, members), b| {
-            elevator(&scaled, *k, ell, q, members, &params, b)
-                .map(|(sol, was_exact)| (*k, sol, was_exact))
+            elevator(&scaled, *k, ell, q, members, &params, b).map(|(sol, how)| (*k, sol, how))
         });
-    let mut stats_exact: Vec<(u32, SapSolution, bool)> = Vec::with_capacity(class_results.len());
+    let mut solved: Vec<(u32, SapSolution, ClassSolve)> = Vec::with_capacity(class_results.len());
     // lint:allow(b1) — folds per-class results; the per-class work was
     // metered inside map_reduce_isolated.
     for r in class_results {
-        stats_exact.push(r?);
+        solved.push(r?);
     }
 
-    let mut stats = MediumStats {
-        classes: stats_exact.len(),
-        exact_classes: stats_exact.iter().filter(|(_, _, e)| *e).count(),
-        best_residue: 0,
-    };
+    let mut capped_units = 0u64;
+    let mut stats = MediumStats { classes: solved.len(), ..MediumStats::default() };
+    // lint:allow(b1) — one tally per class; the per-class work was
+    // metered inside map_reduce_isolated.
+    for (_, _, how) in &solved {
+        match how {
+            ClassSolve::Exact => stats.exact_classes += 1,
+            ClassSolve::Capped { units } => {
+                stats.capped_classes += 1;
+                capped_units += units;
+            }
+            ClassSolve::Greedy => {}
+        }
+    }
 
     // Residue sweep.
     let period = ell + q;
@@ -159,7 +175,7 @@ pub fn try_solve_medium_with_stats(
     // lint:allow(b1) — period = ℓ + q residues, a config constant that
     // does not scale with the instance.
     for r in 0..period {
-        let parts: Vec<SapSolution> = stats_exact
+        let parts: Vec<SapSolution> = solved
             .iter()
             .filter(|(k, _, _)| k % period == r)
             .map(|(_, s, _)| s.clone())
@@ -178,6 +194,8 @@ pub fn try_solve_medium_with_stats(
     let tele = budget.telemetry();
     tele.count("classes", stats.classes as u64);
     tele.count("classes.exact", stats.exact_classes as u64);
+    tele.count("classes.capped", stats.capped_classes as u64);
+    tele.count("capped_units", capped_units);
     tele.gauge_max("best_residue", u64::from(stats.best_residue));
 
     // Re-ground in original units, preserving the vertical order.
@@ -209,9 +227,21 @@ fn scale_instance(instance: &Instance, factor: u64) -> Option<Instance> {
     Instance::new(net, tasks).ok()
 }
 
+/// How Elevator solved one class.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ClassSolve {
+    /// The exact search finished (or the class was empty after clipping).
+    Exact,
+    /// The search hit its state cap after metering `units` work units;
+    /// the incumbent and greedy competed.
+    Capped { units: u64 },
+    /// The class is over [`MediumParams::max_class_size`]: greedy only.
+    Greedy,
+}
+
 /// Elevator (Lemma 15): a β-elevated 2-approximation for one class.
-/// Returns the solution in the *scaled* instance's coordinates and
-/// whether the optimal sub-solver succeeded.
+/// Returns the solution in the *scaled* instance's coordinates and how
+/// the class was solved.
 fn elevator(
     scaled: &Instance,
     k: u32,
@@ -220,7 +250,7 @@ fn elevator(
     members: &[TaskId],
     params: &MediumParams,
     budget: &Budget,
-) -> SapResult<(SapSolution, bool)> {
+) -> SapResult<(SapSolution, ClassSolve)> {
     let phase = budget.telemetry().span("class");
     phase.observe("members", members.len() as u64);
     budget.checkpoint(CheckpointClass::Driver, 1)?;
@@ -233,30 +263,41 @@ fn elevator(
     // and keeps the sub-solver's search space small.
     let (sub, map) = match clip_to_band(scaled, members, band_lo, band_hi) {
         Ok(x) => x,
-        Err(_) => return Ok((SapSolution::empty(), true)),
+        Err(_) => return Ok((SapSolution::empty(), ClassSolve::Exact)),
     };
     let sub_ids = sub.all_ids();
-    let (opt, was_exact) = if sub_ids.len() <= params.max_class_size.min(64) {
+    // Class solutions to split, in tie-break order.
+    let (candidates, how) = if sub_ids.len() <= params.max_class_size.min(64) {
         match solve_exact_sap(&sub, &sub_ids, params.exact, budget)? {
-            Some(s) => (s, true),
-            None => (greedy_sap_best(&sub, &sub_ids), false),
+            Exact::Optimal(opt) => (vec![opt], ClassSolve::Exact),
+            Exact::Capped(incumbent) => (
+                vec![incumbent, greedy_sap_best(&sub, &sub_ids)],
+                ClassSolve::Capped { units: budget.consumed() },
+            ),
         }
     } else {
-        (greedy_sap_best(&sub, &sub_ids), false)
+        (vec![greedy_sap_best(&sub, &sub_ids)], ClassSolve::Greedy)
     };
 
-    // Lemma 14: split at β·2^k, keep the heavier β-elevated half.
-    let split = elevation_split(&sub, &opt, threshold);
-    let chosen = if split.lifted.weight(&sub) >= split.kept.weight(&sub) {
-        split.lifted
-    } else {
-        split.kept
-    };
+    // Lemma 14: split each candidate at β·2^k and keep the first heaviest
+    // β-elevated half (`lifted` before `kept` on ties).
+    let mut chosen = SapSolution::empty();
+    let mut chosen_weight = None;
+    for sol in &candidates {
+        let split = elevation_split(&sub, sol, threshold);
+        for half in [split.lifted, split.kept] {
+            let w = half.weight(&sub);
+            if chosen_weight.map_or(true, |best| w > best) {
+                chosen_weight = Some(w);
+                chosen = half;
+            }
+        }
+    }
     // Map back to the scaled instance's task ids.
     let mapped = SapSolution::from_pairs(
         chosen.placements.iter().map(|p| (map[p.task], p.height)),
     );
-    Ok((mapped, was_exact))
+    Ok((mapped, how))
 }
 
 #[cfg(test)]
@@ -279,6 +320,7 @@ mod tests {
     fn exact(inst: &Instance, ids: &[TaskId]) -> u64 {
         solve_exact_sap(inst, ids, ExactConfig::default(), &Budget::unlimited())
             .unwrap()
+            .optimal()
             .expect("budget")
             .weight(inst)
     }

@@ -224,6 +224,7 @@ mod tests {
             dp.validate(&inst).unwrap();
             let search = solve_exact_sap(&inst, &ids, ExactConfig::default(), &Budget::unlimited())
                 .unwrap()
+                .optimal()
                 .unwrap();
             assert_eq!(
                 dp.weight(&inst),

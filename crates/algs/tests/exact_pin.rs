@@ -1,11 +1,11 @@
 //! Pins the exact SAP search (`solve_exact_sap`) on fixed generator
-//! classes: the returned placements in order, `Ok(None)` versus `Some`
-//! when the memo-state cap is hit, and the exact number of work units
-//! metered. Any rewrite of the search must keep its visit order,
-//! checkpoint sequence, prune rule and `max_states` semantics, so every
-//! line below must stay byte-for-byte the same.
+//! classes: the returned placements in order, `Optimal` versus the
+//! `Capped` incumbent when the memo-state cap is hit, and the exact
+//! number of work units metered. Any rewrite of the search must keep its
+//! visit order, checkpoint sequence, prune rule and `max_states`
+//! semantics, so every line below must stay byte-for-byte the same.
 
-use sap_algs::{solve_exact_sap, ExactConfig};
+use sap_algs::{solve_exact_sap, Exact, ExactConfig};
 use sap_core::{Budget, Instance, SapError};
 use sap_gen::{generate, CapacityProfile, DemandRegime, GenConfig};
 
@@ -31,24 +31,23 @@ fn instance(c: &Class) -> Instance {
     generate(&cfg, c.seed)
 }
 
-/// `some|none|tripped units=N` followed by the placements as
-/// `task@height` in the order the search returns them.
+/// `some|capped|tripped units=N`, then for a solution its weight and
+/// placements as `task@height` in the order the search returns them.
 fn outcome(c: &Class, budget: &Budget) -> String {
     let inst = instance(c);
     let ids = inst.all_ids();
     let res = solve_exact_sap(&inst, &ids, ExactConfig { max_states: c.max_states }, budget);
     let units = budget.consumed();
-    match res {
-        Ok(Some(sol)) => {
-            sol.validate(&inst).expect("exact solution is feasible");
-            let placed: Vec<String> =
-                sol.placements.iter().map(|p| format!("{}@{}", p.task, p.height)).collect();
-            format!("some units={units} w={} [{}]", sol.weight(&inst), placed.join(" "))
-        }
-        Ok(None) => format!("none units={units}"),
-        Err(SapError::BudgetExhausted) => format!("tripped units={units}"),
+    let (tag, sol) = match res {
+        Ok(Exact::Optimal(sol)) => ("some", sol),
+        Ok(Exact::Capped(sol)) => ("capped", sol),
+        Err(SapError::BudgetExhausted) => return format!("tripped units={units}"),
         Err(e) => panic!("unexpected error {e:?}"),
-    }
+    };
+    sol.validate(&inst).expect("searched solution is feasible");
+    let placed: Vec<String> =
+        sol.placements.iter().map(|p| format!("{}@{}", p.task, p.height)).collect();
+    format!("{tag} units={units} w={} [{}]", sol.weight(&inst), placed.join(" "))
 }
 
 fn medium(edges: usize, tasks: usize, seed: u64, max_states: usize) -> Class {
@@ -75,7 +74,7 @@ fn mixed(edges: usize, tasks: usize, seed: u64, max_states: usize) -> Class {
 
 #[test]
 fn exact_search_outcomes_are_pinned() {
-    let cases: [(Class, &str); 10] = [
+    let cases: [(Class, &str); 11] = [
         (medium(6, 8, 1, 400_000), "some units=238 w=320 [0@0 1@85 3@85 4@315 6@182]"),
         (
             medium(8, 12, 2, 400_000),
@@ -101,10 +100,24 @@ fn exact_search_outcomes_are_pinned() {
             mixed(12, 24, 8, 400_000),
             "some units=625655 w=728 [1@0 2@0 7@0 0@1 13@86 16@1 4@12 9@17 10@88 19@19 20@88]",
         ),
-        // Hit the memo-state cap: the search gives up with Ok(None). The
-        // second is a medium-arm-sized class at the arm's own cap.
-        (medium(10, 16, 3, 200), "none units=1129"),
-        (medium(14, 26, 9, 400_000), "none units=3308783"),
+        // Hit the memo-state cap: the search stops and returns the
+        // heaviest order it had found. The second is a medium-arm-sized
+        // class at the arm's former 400k cap, the third the same class at
+        // the arm's 10k cap.
+        (
+            medium(10, 16, 3, 200),
+            "capped units=1129 w=445 [0@0 1@0 2@148 4@0 5@263 7@0 9@61 13@148 11@171]",
+        ),
+        (
+            medium(14, 26, 9, 400_000),
+            "capped units=3308783 w=999 [0@0 3@0 4@0 5@15 7@15 8@139 13@72 14@139 15@15 \
+             19@293 21@558 22@296 23@504 24@72 9@95 6@209 11@255]",
+        ),
+        (
+            medium(14, 26, 9, 10_000),
+            "capped units=70407 w=745 [0@0 1@293 4@0 5@0 8@0 10@142 15@457 19@457 23@395 \
+             24@57 9@80 11@194 13@422 18@422 25@722]",
+        ),
     ];
     for (i, (class, want)) in cases.iter().enumerate() {
         assert_eq!(outcome(class, &Budget::unlimited()), *want, "class {i}");

@@ -23,6 +23,7 @@ const CASES: u64 = if cfg!(feature = "proptest") { 192 } else { 40 };
 fn opt(inst: &Instance, ids: &[TaskId]) -> u64 {
     solve_exact_sap(inst, ids, ExactConfig::default(), &Budget::unlimited())
         .unwrap()
+        .optimal()
         .expect("budget")
         .weight(inst)
 }

@@ -34,6 +34,7 @@ fn exact_gap() -> Table {
             let ids = inst.all_ids();
             let sap = solve_exact_sap(&inst, &ids, ExactConfig::default(), &Budget::unlimited())
                 .expect("no budget")
+                .optimal()
                 .expect("budget")
                 .weight(&inst);
             let ufpp_opt = ufpp::solve_exact(&inst, &ids).weight(&inst);

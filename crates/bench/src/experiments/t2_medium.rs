@@ -28,6 +28,7 @@ pub fn run() -> Vec<Table> {
                 let ids = inst.all_ids();
                 let opt = solve_exact_sap(&inst, &ids, ExactConfig::default(), &Budget::unlimited())
                     .expect("no budget")
+                    .optimal()
                     .expect("budget")
                     .weight(&inst);
                 let params = MediumParams { ell, ..Default::default() };

@@ -34,6 +34,7 @@ fn ratio_table() -> Table {
                 let ids = inst.all_ids();
                 let opt = solve_exact_sap(&inst, &ids, ExactConfig::default(), &Budget::unlimited())
                     .expect("no budget")
+                    .optimal()
                     .expect("budget")
                     .weight(&inst);
                 let sol = solve_large(&inst, &ids).expect("budget");

@@ -66,6 +66,7 @@ fn ratio_vs_exact() -> Table {
             let ids = inst.all_ids();
             let opt = solve_exact_sap(&inst, &ids, ExactConfig::default(), &Budget::unlimited())
                 .expect("no budget")
+                .optimal()
                 .expect("budget")
                 .weight(&inst);
             let sol = solve(&inst, &ids, &SapParams::default());

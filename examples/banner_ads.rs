@@ -25,6 +25,7 @@ fn main() -> Result<(), SapError> {
     );
     println!("  stripe layout of ALL ads exists (SAP-feasible): {}", is_sap_feasible(&sep, &all));
     let best = solve_exact_sap(&sep, &all, ExactConfig::default(), &Budget::unlimited())?
+        .optimal()
         .expect("tiny instance");
     println!("  best stripe layout sells {} of {} ads:", best.len(), sep.num_tasks());
     println!("{}", render_solution(&sep, &best, 8));

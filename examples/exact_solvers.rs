@@ -39,6 +39,7 @@ fn main() -> Result<(), SapError> {
 
         let t0 = Instant::now();
         let search = solve_exact_sap(&instance, &ids, ExactConfig::default(), &unlimited)?
+            .optimal()
             .expect("state budget")
             .weight(&instance);
         let t_search = t0.elapsed();

@@ -21,6 +21,7 @@ fn main() -> Result<(), SapError> {
         is_sap_feasible(&a, &a.all_ids()),
     );
     let best = solve_exact_sap(&a, &a.all_ids(), ExactConfig::default(), &Budget::unlimited())?
+        .optimal()
         .expect("tiny");
     println!("  best SAP subset ({} of {} tasks):", best.len(), a.num_tasks());
     println!("{}", render_solution(&a, &best, 6));
@@ -34,6 +35,7 @@ fn main() -> Result<(), SapError> {
         is_sap_feasible(&b, &b.all_ids()),
     );
     let best = solve_exact_sap(&b, &b.all_ids(), ExactConfig::default(), &Budget::unlimited())?
+        .optimal()
         .expect("tiny");
     println!("  best SAP subset ({} of {}):", best.len(), b.num_tasks());
     println!("{}", render_solution(&b, &best, 6));

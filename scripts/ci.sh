@@ -11,6 +11,11 @@
 #   5. the telemetry determinism gate: the same instance solved twice with
 #      each of `--telemetry=json`, `--telemetry=tree` and `--trace` must
 #      export byte-identical phase trees, tree views and Chrome traces.
+#  5b. the anytime Elevator gate: the `mixed80` seed-1 instance solved
+#      `combined` twice with `--telemetry=json` must export byte-identical
+#      phase trees, and the export must count capped classes
+#      (`classes.capped` > 0), so the path where a class's exact search
+#      hits its state cap and keeps its incumbent actually runs.
 #   6. the bench smoke gate: the solver-level `core` suite in --smoke mode
 #      must emit a schema-valid report whose machine-independent
 #      invariants hold (work-unit conservation across worker counts,
@@ -102,6 +107,18 @@ diff "$tmpdir/tree-a.txt" "$tmpdir/tree-b.txt" \
     || { echo "telemetry tree view is not deterministic" >&2; exit 1; }
 diff "$tmpdir/trace-a.json" "$tmpdir/trace-b.json" \
     || { echo "solve trace export is not deterministic" >&2; exit 1; }
+
+echo "==> anytime Elevator gate"
+./target/release/sap generate --edges 12 --tasks 80 --regime mixed --seed 1 \
+    > "$tmpdir/mixed80-1.json"
+for run in a b; do
+    ./target/release/sap solve "$tmpdir/mixed80-1.json" --algo combined --telemetry=json \
+        2>"$tmpdir/capped-$run.json" >/dev/null
+done
+diff "$tmpdir/capped-a.json" "$tmpdir/capped-b.json" \
+    || { echo "capped-class telemetry export is not deterministic" >&2; exit 1; }
+grep -Eq '"classes\.capped":[1-9]' "$tmpdir/capped-a.json" \
+    || { echo "no class hit the state cap — gate is vacuous" >&2; exit 1; }
 
 echo "==> bench smoke gate"
 cargo run --release -p sap-bench -- --suite core --smoke --workers 1,2 \

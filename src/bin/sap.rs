@@ -185,6 +185,7 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
             }
             sap_algs::solve_exact_sap(&instance, &ids, ExactConfig::default(), &budget)
                 .map_err(|e| e.to_string())?
+                .optimal()
                 .ok_or("exact solver exhausted its state budget")?
         }
         other => return Err(format!("unknown algorithm {other:?}")),

@@ -11,6 +11,7 @@ use storage_alloc::sap_gen::{blocker, comb, generate_trace, knapsack_core, stair
 fn exact(inst: &Instance, ids: &[TaskId]) -> SapSolution {
     solve_exact_sap(inst, ids, ExactConfig::default(), &Budget::unlimited())
         .unwrap()
+        .optimal()
         .expect("state budget")
 }
 

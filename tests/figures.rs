@@ -89,6 +89,7 @@ fn fig3_clipping_preserves_optimum() {
     let exact = |inst: &Instance, ids: &[TaskId]| {
         solve_exact_sap(inst, ids, ExactConfig::default(), &Budget::unlimited())
             .unwrap()
+            .optimal()
             .unwrap()
     };
     let opt_orig = exact(&inst, &ids);

@@ -261,3 +261,32 @@ fn degraded_runs_still_attribute_all_work() {
         }
     }
 }
+
+#[test]
+fn practical_greedy_comparison_is_a_timed_phase() {
+    // `mixed80` seed 1 (`sap generate --edges 12 --tasks 80 --regime
+    // mixed --seed 1`): greedy wins the practical comparison, so its node
+    // must record the run that produced the answer, like the fallback
+    // path's greedy does.
+    let inst = generate(
+        &GenConfig {
+            num_edges: 12,
+            num_tasks: 80,
+            profile: CapacityProfile::RandomWalk { lo: 64, hi: 1024 },
+            regime: DemandRegime::Mixed,
+            max_span: 6,
+            max_weight: 100,
+        },
+        1,
+    );
+    let rec = Recorder::with_timings();
+    let budget = Budget::unlimited().with_telemetry(rec.handle());
+    let (sol, report) = storage_alloc::try_solve_sap_practical(&inst, &budget).unwrap();
+    sol.validate(&inst).unwrap();
+    assert_eq!(report.winner, "greedy", "{report:?}");
+    let view = rec.to_tree_string();
+    let greedy = rec.snapshot().children.get("greedy").cloned().expect("greedy node");
+    assert_eq!(greedy.entries, 1, "{view}");
+    let line = view.lines().find(|l| l.trim_start().starts_with("greedy ")).expect("greedy line");
+    assert!(line.contains(" n=1 ") && line.contains("busy_ms="), "{view}");
+}

@@ -15,6 +15,7 @@ use storage_alloc::ufpp;
 fn opt(inst: &Instance) -> u64 {
     solve_exact_sap(inst, &inst.all_ids(), ExactConfig::default(), &Budget::unlimited())
         .unwrap()
+        .optimal()
         .expect("state budget")
         .weight(inst)
 }
