@@ -1,37 +1,24 @@
 //! # sap-bench
 //!
-//! The hermetic experiment + benchmark harness. Two binaries:
-//!
-//! * **`sap-bench`** (default) — the bench suite behind `BENCH_*.json`:
-//!   deterministic work-units from the [`sap_core::budget::Budget`]
-//!   meter, wall-clock per workload family, worker-count sweeps with
-//!   byte-identity checks, and the MWIS allocation gauges. See
-//!   [`suite`].
-//! * **`report`** — regenerates every experiment table in
-//!   EXPERIMENTS.md (T1–T6, L4, L16/17, A1, BL, PC, UF, DS).
+//! The hermetic experiment harness. Its one binary, **`report`**,
+//! regenerates every experiment table in EXPERIMENTS.md (T1–T6, L4,
+//! L16/17, A1, BL, PC, UF, DS):
 //!
 //! ```text
-//! cargo run -p sap-bench --release -- --suite core --out BENCH_pr4.json
 //! cargo run -p sap-bench --release --bin report            # all tables
 //! cargo run -p sap-bench --release --bin report -- T1 T4   # a subset
 //! ```
 //!
 //! The crate is a plain workspace member: path dependencies only, no
 //! registry access, no external bench framework — fan-out runs on
-//! [`sap_core::parallel_map`] and serialisation uses the workspace's
-//! single JSON module, [`sap_core::json`] (re-exported here as
-//! [`json`]), which doubles as the parser the CI smoke gate uses to
-//! check report schema validity.
+//! [`sap_core::parallel_map`]. Served cost is measured end to end by
+//! `e2ebench/`, not here.
 
 #![forbid(unsafe_code)]
 
 pub mod experiments;
-pub mod lp_bench;
-pub mod suite;
 pub mod table;
 pub mod workloads;
-
-pub use sap_core::json;
 
 pub use table::Table;
 

@@ -3,8 +3,8 @@
 //! The hermetic-build policy (`cargo xtask lint`, lint H1) keeps
 //! `serde`/`serde_json` out of the default build, and the interchange
 //! surfaces that need JSON — the CLI's instance/solution files, the
-//! `sap serve` request loop, telemetry and report exports, and the bench
-//! harness's `sap-bench/1` documents — only need flat objects of
+//! `sap serve` request loop, telemetry and report exports, and the
+//! experiment harness's `--json` tables — only need flat objects of
 //! integers, strings and arrays. This module implements exactly that
 //! subset plus enough of the rest of the grammar (floats, escapes,
 //! null) to reject malformed input with a position-annotated error

@@ -81,7 +81,7 @@ pub use network::PathNetwork;
 pub use obs::{
     chrome_trace, Aggregator, Histogram, ObsNode, TenantObs, TraceClock, OBS_SCHEMA_VERSION,
 };
-pub use parallel::{join, join3, join3_isolated, map_reduce_isolated, parallel_map, run_isolated};
+pub use parallel::{join3_isolated, map_reduce_isolated, parallel_map, run_isolated};
 pub use render::{render_solution, render_solution_svg};
 pub use rmq::RangeMin;
 pub use solution::{Placement, SapSolution, UfppSolution};

@@ -35,10 +35,7 @@ fn resolve_workers(requested: usize, jobs: usize) -> usize {
 }
 
 /// Runs two closures, potentially in parallel, and returns both results.
-///
-/// Drop-in replacement for `rayon::join` for the combined algorithm's
-/// regime split.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
     B: FnOnce() -> RB + Send,
@@ -58,7 +55,7 @@ where
 
 /// Runs three closures, potentially in parallel, and returns all three
 /// results.
-pub fn join3<A, B, C, RA, RB, RC>(a: A, b: B, c: C) -> (RA, RB, RC)
+fn join3<A, B, C, RA, RB, RC>(a: A, b: B, c: C) -> (RA, RB, RC)
 where
     A: FnOnce() -> RA + Send,
     B: FnOnce() -> RB + Send,
@@ -74,10 +71,10 @@ where
 /// Runs `f` with panic isolation: a panic is caught and returned as
 /// `Err(message)` instead of unwinding into the caller.
 ///
-/// This is the non-propagating counterpart to [`join`]/[`join3`], used by
-/// the fault-tolerant portfolio driver so one poisoned arm cannot take
-/// down the solve. The panic payload is downcast to a `String` when
-/// possible; opaque payloads are reported generically.
+/// [`join3_isolated`] runs each arm of the fault-tolerant portfolio
+/// driver through it, so one poisoned arm cannot take down the solve.
+/// The panic payload is downcast to a `String` when possible; opaque
+/// payloads are reported generically.
 pub fn run_isolated<R, F>(f: F) -> Result<R, String>
 where
     F: FnOnce() -> R,
@@ -131,17 +128,29 @@ where
     F: Fn(&T) -> R + Sync,
 {
     let n = items.len();
-    let workers = num_workers(n);
+    fan_out(n, num_workers(n), |i| f(&items[i]))
+}
+
+/// The one fan-out loop behind [`parallel_map`] and
+/// [`map_reduce_isolated`]: computes `f(i)` for every `i` in `0..n` on
+/// `workers` scoped threads and returns the results in index order.
+///
+/// Each worker claims one index at a time from a shared atomic cursor
+/// and keeps (index, result) locally; results are merged in order at
+/// the end. No locks on the hot path. One worker, or at most one item,
+/// runs inline on the caller's thread.
+fn fan_out<R, F>(n: usize, workers: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
     if workers <= 1 || n <= 1 {
-        return items.iter().map(f).collect();
+        return (0..n).map(f).collect();
     }
 
     use std::sync::atomic::{AtomicUsize, Ordering};
     let cursor = AtomicUsize::new(0);
 
-    // Each worker claims one index at a time from the shared cursor and
-    // keeps (index, result) locally; results are merged in order at the
-    // end. No locks on the hot path.
     let mut buckets: Vec<Vec<(usize, R)>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
@@ -152,7 +161,7 @@ where
                         if i >= n {
                             break;
                         }
-                        local.push((i, f(&items[i])));
+                        local.push((i, f(i)));
                     }
                     local
                 })
@@ -229,46 +238,8 @@ where
         return Vec::new();
     }
     let merge = MergeGuard { parent, children: parent.split_shares(n) };
-    let workers = resolve_workers(workers, n);
-    if workers <= 1 || n <= 1 {
-        return items.iter().zip(&merge.children).map(|(t, b)| f(t, b)).collect();
-    }
-
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let cursor = AtomicUsize::new(0);
     let children = &merge.children;
-
-    let mut buckets: Vec<Vec<(usize, SapResult<R>)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, f(&items[i], &children[i])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(local) => local,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    });
-
-    let mut indexed: Vec<(usize, SapResult<R>)> = Vec::with_capacity(n);
-    for bucket in &mut buckets {
-        indexed.append(bucket);
-    }
-    indexed.sort_by_key(|(i, _)| *i);
-    indexed.into_iter().map(|(_, r)| r).collect()
+    fan_out(n, resolve_workers(workers, n), |i| f(&items[i], &children[i]))
 }
 
 #[cfg(test)]

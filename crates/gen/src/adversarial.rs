@@ -75,6 +75,20 @@ pub fn comb(teeth: usize) -> Instance {
     Instance::new(net, tasks).expect("valid")
 }
 
+/// The **long path**: `short`'s tasks unchanged on a path padded to `m`
+/// edges, the new edges at `short`'s smallest capacity and touched by no
+/// task. Every algorithm must answer exactly as on `short` — adversarial
+/// for any state, buffer or meter that scales with the edge count `m`
+/// instead of the task count `n`.
+pub fn long_path(short: &Instance, m: usize) -> Instance {
+    let mut caps = short.network().capacities().to_vec();
+    assert!(m >= caps.len(), "the long path must not cut the short one");
+    let pad = caps.iter().copied().min().expect("a path has edges");
+    caps.resize(m, pad);
+    Instance::new(PathNetwork::new(caps).expect("valid"), short.tasks().to_vec())
+        .expect("valid")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,6 +127,16 @@ mod tests {
         // Each task in its own stratum.
         let strata = sap_core::strata_by_bottleneck(&inst, &inst.all_ids());
         assert_eq!(strata.len(), 5);
+    }
+
+    #[test]
+    fn long_path_keeps_the_tasks_and_pads_the_edges() {
+        let short = comb(3);
+        let long = long_path(&short, 1000);
+        assert_eq!(long.num_edges(), 1000);
+        assert_eq!(long.tasks(), short.tasks());
+        assert_eq!(&long.network().capacities()[..7], short.network().capacities());
+        assert!(long.network().capacities()[7..].iter().all(|&c| c == 4));
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod rings;
 pub mod rng;
 pub mod traces;
 
-pub use adversarial::{blocker, comb, knapsack_core, staircase_tower};
+pub use adversarial::{blocker, comb, knapsack_core, long_path, staircase_tower};
 pub use figures::{fig1a, fig1b, fig8, Fig8};
 pub use profiles::CapacityProfile;
 pub use random::{generate, DemandRegime, GenConfig};

@@ -44,8 +44,8 @@
 //! buffer cell is rewritten from the problem data before the first
 //! iteration). A [`ScratchPool`] extends the same guarantee across
 //! many problems, keyed by shape. The pre-sparse dense solver survives
-//! as [`dense::solve_dense`], the differential oracle of the property
-//! tests.
+//! only as the differential oracle of the property tests
+//! (`tests/dense/`), outside the release crate.
 
 //! ## Example
 //!
@@ -64,11 +64,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dense;
 pub mod pool;
 pub mod simplex;
 
-pub use dense::solve_dense;
 pub use pool::ScratchPool;
 pub use simplex::{
     LpProblem, LpSolution, LpStatus, PivotRecord, Scratch, SimplexOptions, SolveStats,

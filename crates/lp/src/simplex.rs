@@ -388,6 +388,16 @@ impl LpProblem {
         &self.rhs
     }
 
+    /// Objective coefficients, one per structural variable.
+    pub fn obj(&self) -> &[f64] {
+        &self.obj
+    }
+
+    /// Upper bounds, one per structural variable.
+    pub fn upper(&self) -> &[f64] {
+        &self.upper
+    }
+
     /// Number of stored nonzeros across all columns.
     pub fn nnz(&self) -> usize {
         self.row_idx.len()

@@ -6,7 +6,10 @@
 //!
 //! Build with `--features proptest` to raise the iteration counts.
 
-use lp_solver::{solve_dense, LpProblem, LpStatus, Scratch, SimplexOptions};
+mod dense;
+
+use dense::solve_dense;
+use lp_solver::{LpProblem, LpStatus, Scratch, SimplexOptions};
 use sap_core::budget::Budget;
 use sap_gen::Rng64;
 
@@ -42,6 +45,29 @@ fn arb_lp(rng: &mut Rng64) -> RandomLp {
                 *e = e.max(a);
             }
             (obj, per_row.into_iter().collect::<Vec<_>>())
+        })
+        .collect();
+    RandomLp { rhs, cols }
+}
+
+/// A packing LP with `m` rows, `n` columns and ~2/3 density: large
+/// enough that partial pricing scans several 32-wide segments.
+fn ladder_lp(seed: u64, m: usize, n: usize) -> RandomLp {
+    let mut rng = Rng64::seed_from_u64(seed ^ 0x1b_be4c_4a53);
+    let rhs: Vec<f64> = (0..m).map(|_| rng.gen_range(5u64..80) as f64).collect();
+    let cols = (0..n)
+        .map(|_| {
+            let obj = rng.gen_range(1u64..100) as f64 / 7.0;
+            let mut entries = Vec::new();
+            for r in 0..m {
+                if rng.gen_range(0u64..3) > 0 {
+                    entries.push((r, rng.gen_range(1u64..8) as f64));
+                }
+            }
+            if entries.is_empty() {
+                entries.push((0, 1.0));
+            }
+            (obj, entries)
         })
         .collect();
     RandomLp { rhs, cols }
@@ -93,10 +119,12 @@ fn sparse_core_agrees_with_dense_oracle() {
     // The sparse eta-file core must reproduce the pre-sparse dense
     // solver's *solutions* — same status, objectives within tolerance,
     // both points feasible. (Pivot sequences may differ: partial pricing
-    // is a different — equally valid — pricing rule.)
-    for case in 0..CASES {
-        let mut rng = Rng64::seed_from_u64(0xd1ff_0a11 ^ case);
-        let lp = arb_lp(&mut rng);
+    // is a different — equally valid — pricing rule.) Inputs: small
+    // random LPs, then a size ladder up to 64 × 512.
+    let ladder = [(8, 24), (16, 64), (32, 128), (48, 256), (64, 512)];
+    let ladder = ladder.iter().flat_map(|&(m, n)| (0..2).map(move |seed| ladder_lp(seed, m, n)));
+    let small = (0..CASES).map(|case| arb_lp(&mut Rng64::seed_from_u64(0xd1ff_0a11 ^ case)));
+    for (case, lp) in small.chain(ladder).enumerate() {
         let p = build(&lp);
         let s = p.solve(0);
         let d = solve_dense(&p, 0);

@@ -540,9 +540,17 @@ mod tests {
 
     #[test]
     fn interned_allocs_are_pinned_on_a_fixed_large_family() {
-        // The deterministic allocation gauge is pinned exactly on a fixed
-        // 1/2-large family, so any extra allocation in the memo-key
+        // The deterministic allocation gauge is pinned exactly on fixed
+        // 1/2-large instances, so any extra allocation in the memo-key
         // scheme fails here.
+        let allocs = |inst: &Instance| {
+            let rec = sap_core::Recorder::new();
+            let budget = Budget::unlimited().with_telemetry(rec.handle());
+            max_weight_packing(inst, &inst.all_ids(), MwisConfig::default(), &budget)
+                .unwrap()
+                .unwrap();
+            rec.handle().counter("mwis.allocs")
+        };
         let mut s = 0xBEEF123u64;
         let mut next = move || {
             s ^= s << 13;
@@ -562,14 +570,22 @@ mod tests {
             let d = b / 2 + 1 + next() % (b - b / 2);
             tasks.push(Task::of(lo, hi, d.min(b), 1 + next() % 50));
         }
-        let inst = Instance::new(net, tasks).unwrap();
-        let ids = inst.all_ids();
-        let rec = sap_core::Recorder::new();
-        let budget = Budget::unlimited().with_telemetry(rec.handle());
-        max_weight_packing(&inst, &ids, MwisConfig::default(), &budget)
-            .unwrap()
-            .unwrap();
-        assert_eq!(rec.handle().counter("mwis.allocs"), 144);
+        assert_eq!(allocs(&Instance::new(net, tasks).unwrap()), 144);
+        // Two generated k = 2 instances on 14 edges.
+        for (seed, pinned) in [(9500, 55), (9501, 52)] {
+            let inst = sap_gen::generate(
+                &sap_gen::GenConfig {
+                    num_edges: 14,
+                    num_tasks: 40,
+                    profile: sap_gen::CapacityProfile::Random { lo: 16, hi: 255 },
+                    regime: sap_gen::DemandRegime::Large { k: 2 },
+                    max_span: 6,
+                    max_weight: 50,
+                },
+                seed,
+            );
+            assert_eq!(allocs(&inst), pinned, "seed {seed}");
+        }
     }
 
     #[test]

@@ -73,12 +73,16 @@ pub const REDUCED_DIVISOR: u64 = 4;
 pub const TENANT_BURST_FACTOR: u64 = 2;
 
 /// Deterministic work-unit estimate for a request with no explicit
-/// `work_units` cap, as a function of its task count (the dominant cost
-/// driver across the portfolio: LP columns, DP states, and rectangles
-/// all scale with it). Calibrated against measured driver consumption
-/// (a 24-task mixed instance meters ≈150 units; the estimate charges
-/// 320, erring toward over-charging so uncapped requests cannot
-/// under-pay their way past the pools).
+/// `work_units` cap, as a function of its task count (LP columns, DP
+/// states, and rectangles all scale with it). Calibrated on a 24-task
+/// mixed instance, which meters ≈150 units against a charge of 320.
+///
+/// It is **not** an upper bound on what a request meters: the measured
+/// `admission.charge_ratio` (metered ÷ charged) is 50 on the `mixed80`
+/// benchmark workload, whose medium arm meters 68k–196k units against
+/// a 3232-unit charge, and 0.023 on `cheap_rpc`. An uncapped request can
+/// therefore under-pay the pools. ROADMAP item 6 replaces this with a
+/// bound derived from the classify pass.
 pub fn estimate_units(tasks: usize) -> u64 {
     let t = tasks as u64;
     t.saturating_mul(t).saturating_div(2).saturating_add(32)

@@ -472,13 +472,18 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut framer = LineFramer::new(max_line_bytes);
     let stdin = std::io::stdin();
     let mut stdout = std::io::stdout().lock();
+    // `None` is end of input: the pump flushes its last partial batch.
     let drain = |pump: &mut BatchPump,
-                     item: Framed,
+                     item: Option<Framed>,
                      stdout: &mut dyn Write,
                      snap_file: &mut Option<std::fs::File>|
      -> Result<(), String> {
         let before = pump.engine().stats.batches;
-        let Some(responses) = pump.feed(item) else {
+        let flushed = match item {
+            Some(item) => pump.feed(item),
+            None => pump.finish(),
+        };
+        let Some(responses) = flushed else {
             return Ok(());
         };
         for response in responses {
@@ -507,29 +512,13 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             break;
         }
         for item in framer.push(&chunk[..n]) {
-            drain(&mut pump, item, &mut stdout, &mut snap_file)?;
+            drain(&mut pump, Some(item), &mut stdout, &mut snap_file)?;
         }
     }
     if let Some(item) = framer.finish() {
-        drain(&mut pump, item, &mut stdout, &mut snap_file)?;
+        drain(&mut pump, Some(item), &mut stdout, &mut snap_file)?;
     }
-    let before = pump.engine().stats.batches;
-    if let Some(responses) = pump.finish() {
-        for response in responses {
-            writeln!(stdout, "{response}").map_err(|e| format!("stdout: {e}"))?;
-        }
-        if pump.engine().stats.batches != before {
-            if let Some(snapshot) = pump.engine_mut().maybe_snapshot() {
-                if snapshots_on_stdout {
-                    writeln!(stdout, "{snapshot}").map_err(|e| format!("stdout: {e}"))?;
-                }
-                if let Some(f) = &mut snap_file {
-                    writeln!(f, "{snapshot}").map_err(|e| format!("snapshot file: {e}"))?;
-                }
-            }
-        }
-        stdout.flush().map_err(|e| format!("stdout: {e}"))?;
-    }
+    drain(&mut pump, None, &mut stdout, &mut snap_file)?;
     let mut engine = pump.into_engine();
     drop(stdout);
     eprintln!("{}", engine.summary_line());

@@ -6,7 +6,11 @@ use storage_alloc::prelude::*;
 use storage_alloc::sap_algs::{
     self, baselines::greedy_sap, baselines::GreedyOrder, solve_exact_sap, ExactConfig,
 };
-use storage_alloc::sap_gen::{blocker, comb, generate_trace, knapsack_core, staircase_tower, TraceConfig};
+use storage_alloc::sap_core::{SolveReport, WorkProfile};
+use storage_alloc::sap_gen::{
+    blocker, comb, generate, generate_trace, knapsack_core, long_path, staircase_tower,
+    CapacityProfile, DemandRegime, GenConfig, TraceConfig,
+};
 
 fn exact(inst: &Instance, ids: &[TaskId]) -> SapSolution {
     solve_exact_sap(inst, ids, ExactConfig::default(), &Budget::unlimited())
@@ -65,6 +69,72 @@ fn comb_is_solved_exactly_by_practical() {
     sol.validate(&inst).unwrap();
     // Total weight = spine (4) + 8 teeth (1 each) = 12; everything packs.
     assert_eq!(sol.weight(&inst), inst.weight_sum());
+}
+
+/// `report` with the large arm's metered work taken out of the arm and
+/// of the totals (every `pack_sweep` checkpoint charges one unit).
+fn without_large_arm_work(mut report: SolveReport) -> SolveReport {
+    for arm in report.arms.iter_mut().filter(|a| a.arm == "large") {
+        report.work_consumed -= arm.work_consumed;
+        report.checkpoints -= arm.work_consumed;
+        arm.work_consumed = 0;
+        arm.work = WorkProfile::default();
+    }
+    report
+}
+
+#[test]
+fn long_paths_answer_like_their_short_twins() {
+    // Padding a 12-edge instance with edges that no task touches must
+    // change nothing that scales with the padding: per regime,
+    // `combined` and `practical` return the short twin's solution, and
+    // 1,000 and 200,000 edges give byte-identical reports. Those equal
+    // the short twin's except for the large arm's `pack_sweep` units:
+    // the rectangle MWIS charges one unit per edge range it sweeps, and
+    // the padding adds a few ranges that hold no task.
+    type Solve = fn(&Instance, &Budget) -> SapResult<(SapSolution, SolveReport)>;
+    let modes: [(&str, Solve); 2] = [
+        ("combined", storage_alloc::try_solve_sap),
+        ("practical", storage_alloc::try_solve_sap_practical),
+    ];
+    for regime in [
+        DemandRegime::Small { delta_inv: 16 },
+        DemandRegime::Medium { delta_inv: 8 },
+        DemandRegime::Large { k: 2 },
+        DemandRegime::Mixed,
+    ] {
+        let short = generate(
+            &GenConfig {
+                num_edges: 12,
+                num_tasks: 24,
+                profile: CapacityProfile::RandomWalk { lo: 64, hi: 1024 },
+                regime,
+                max_span: 6,
+                max_weight: 100,
+            },
+            5,
+        );
+        let (near, far) = (long_path(&short, 1_000), long_path(&short, 200_000));
+        for (mode, solve) in modes {
+            let (short_sol, short_report) = solve(&short, &Budget::unlimited()).unwrap();
+            let (near_sol, near_report) = solve(&near, &Budget::unlimited()).unwrap();
+            let (far_sol, far_report) = solve(&far, &Budget::unlimited()).unwrap();
+            far_sol.validate(&far).unwrap();
+            assert!(!short_sol.is_empty(), "{regime:?} {mode}: vacuous");
+            assert_eq!(near_sol, short_sol, "{regime:?} {mode}: solution");
+            assert_eq!(far_sol, short_sol, "{regime:?} {mode}: solution");
+            assert_eq!(
+                far_report.to_json_string(),
+                near_report.to_json_string(),
+                "{regime:?} {mode}: report moves with the padding"
+            );
+            assert_eq!(
+                without_large_arm_work(far_report).to_json_string(),
+                without_large_arm_work(short_report).to_json_string(),
+                "{regime:?} {mode}: report"
+            );
+        }
+    }
 }
 
 #[test]

@@ -14,8 +14,8 @@ use std::process::{Command, Stdio};
 use storage_alloc::io::{InstanceDto, JsonDto, SolutionDto};
 use storage_alloc::json;
 use storage_alloc::net::DEFAULT_MAX_LINE_BYTES;
-use storage_alloc::sap_core::{Instance, PathNetwork};
-use storage_alloc::sap_gen::{generate, CapacityProfile, DemandRegime, GenConfig};
+use storage_alloc::sap_core::Instance;
+use storage_alloc::sap_gen::{generate, long_path, CapacityProfile, DemandRegime, GenConfig};
 use storage_alloc::serve::{ServeAlgo, ServeEngine, ServeOptions};
 
 fn inst_a() -> String {
@@ -668,10 +668,7 @@ fn long_path_request_answers_like_its_short_path_twin() {
         },
         2,
     );
-    let mut caps = short.network().capacities().to_vec();
-    caps.resize(200_000, 64);
-    let long =
-        Instance::new(PathNetwork::new(caps).unwrap(), short.tasks().to_vec()).unwrap();
+    let long = long_path(&short, 200_000);
     let line = |inst: &Instance| {
         format!(
             r#"{{"instance":{},"algo":"combined"}}"#,

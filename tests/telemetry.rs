@@ -12,7 +12,7 @@
 use storage_alloc::json;
 use storage_alloc::prelude::*;
 use storage_alloc::sap_core::{
-    Budget, CheckpointClass, Recorder, REPORT_SCHEMA_VERSION, TELEMETRY_SCHEMA_VERSION,
+    Budget, CheckpointClass, ObsNode, Recorder, REPORT_SCHEMA_VERSION, TELEMETRY_SCHEMA_VERSION,
 };
 use storage_alloc::sap_gen::{generate, CapacityProfile, DemandRegime, GenConfig};
 
@@ -79,36 +79,80 @@ fn telemetry_agrees_between_unlimited_and_finite_work_limits() {
     }
 }
 
+/// The small arm's fan-out workload: a random walk over a factor-64
+/// capacity range spreads the bottlenecks over ~6 bands, so the arm
+/// packs several strata per solve through `map_reduce_isolated`.
+fn strata_workload(seed: u64, tasks: usize) -> Instance {
+    generate(
+        &GenConfig {
+            num_edges: 16,
+            num_tasks: tasks,
+            profile: CapacityProfile::RandomWalk { lo: 64, hi: 4096 },
+            regime: DemandRegime::Small { delta_inv: 16 },
+            max_span: 6,
+            max_weight: 60,
+        },
+        seed + 9000,
+    )
+}
+
+/// Sums the counter `name` over the whole span tree (the `lp.*` counters
+/// live under `small → stratum → lp.solve`, not at the root).
+fn deep_counter(node: &ObsNode, name: &str) -> u64 {
+    let own = node.counters.get(name).copied().unwrap_or(0);
+    node.children.values().fold(own, |acc, c| acc + deep_counter(c, name))
+}
+
 #[test]
 fn worker_fanout_exports_byte_identical_telemetry() {
     // The intra-arm fan-out (`SapParams::workers`) splits each metered
     // budget into fixed per-item child meters and merges results in
-    // index order, so the solution, the SolveReport JSON, and the
-    // telemetry JSON must be byte-identical at 1, 2, and 8 workers.
-    for seed in 0..3 {
-        let inst = workload(seed + 30, DemandRegime::Mixed);
+    // index order, so the solution, the SolveReport JSON, the telemetry
+    // JSON and the metered work must be identical at 1, 2, and 8
+    // workers. Inputs: mixed instances, and the multi-strata δ-small
+    // family at 60 and 600 tasks, whose strata fan out LP solves.
+    // The bool marks inputs whose LPs must pivot (at 60 tasks every
+    // stratum's LP is solved at its bounds).
+    let mut inputs: Vec<(String, Instance, bool)> = (0..3)
+        .map(|seed| (format!("mixed seed {seed}"), workload(seed + 30, DemandRegime::Mixed), false))
+        .collect();
+    for tasks in [60, 600] {
+        for seed in 0..2 {
+            let label = format!("strata {tasks} seed {seed}");
+            inputs.push((label, strata_workload(seed, tasks), tasks == 600));
+        }
+    }
+    for (label, inst, pivots) in &inputs {
         let ids = inst.all_ids();
-        let mut base: Option<(SapSolution, String, String)> = None;
+        let mut base: Option<(SapSolution, String, String, u64)> = None;
         for workers in [1usize, 2, 8] {
             let rec = Recorder::new();
             let budget = Budget::unlimited().with_telemetry(rec.handle());
             let params = storage_alloc::sap_algs::SapParams { workers, ..Default::default() };
             let (sol, report) =
-                storage_alloc::sap_algs::try_solve(&inst, &ids, &params, &budget).unwrap();
-            sol.validate(&inst).unwrap();
+                storage_alloc::sap_algs::try_solve(inst, &ids, &params, &budget).unwrap();
+            sol.validate(inst).unwrap();
             let rep_json = report.to_json_string();
             let tele_json = rec.to_json_string();
+            let work = report.attributed_work();
+            if *pivots {
+                assert!(deep_counter(&rec.snapshot(), "lp.etas") > 0, "{label}: no LP pivots");
+            }
             match &base {
-                None => base = Some((sol, rep_json, tele_json)),
-                Some((sol_1, rep_1, tele_1)) => {
-                    assert_eq!(&sol, sol_1, "seed {seed}, workers {workers}: solution differs");
+                None => base = Some((sol, rep_json, tele_json, work)),
+                Some((sol_1, rep_1, tele_1, work_1)) => {
+                    assert_eq!(&sol, sol_1, "{label}, workers {workers}: solution differs");
                     assert_eq!(
                         &rep_json, rep_1,
-                        "seed {seed}, workers {workers}: report JSON differs"
+                        "{label}, workers {workers}: report JSON differs"
                     );
                     assert_eq!(
                         &tele_json, tele_1,
-                        "seed {seed}, workers {workers}: telemetry JSON differs"
+                        "{label}, workers {workers}: telemetry JSON differs"
+                    );
+                    assert_eq!(
+                        work, *work_1,
+                        "{label}, workers {workers}: work units not conserved"
                     );
                 }
             }
