@@ -9,6 +9,7 @@
 use std::time::Instant;
 
 use sap_bench::experiments;
+use sap_bench::table::tables_to_json;
 use sap_bench::Table;
 
 fn main() {
@@ -41,9 +42,7 @@ fn main() {
         all_tables.extend(tables);
     }
     if let Some(path) = json_path {
-        let objs: Vec<String> = all_tables.iter().map(Table::to_json).collect();
-        let json = format!("[{}]", objs.join(","));
-        std::fs::write(&path, json).expect("write json");
+        std::fs::write(&path, tables_to_json(&all_tables)).expect("write json");
         eprintln!("wrote {path}");
     }
 }

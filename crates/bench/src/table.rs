@@ -72,6 +72,13 @@ impl Table {
     }
 }
 
+/// Renders tables as the `report --json` document: a JSON array with one
+/// table per line, so a moved number shows as a one-line diff.
+pub fn tables_to_json(tables: &[Table]) -> String {
+    let objs: Vec<String> = tables.iter().map(Table::to_json).collect();
+    format!("[\n{}\n]\n", objs.join(",\n"))
+}
+
 /// Formats a ratio with 3 decimals.
 pub fn fmt_ratio(x: f64) -> String {
     format!("{x:.3}")
