@@ -12,7 +12,6 @@
 //! | [`combined`] | the driver's parameters, and the driver under no limit | `9 + ε` |
 //! | [`ring`] | cut + knapsack FPTAS (Thm 5, §7) | `10 + ε` |
 //! | [`exact`] | exact SAP (reference) | 1 (exponential time) |
-//! | [`sapu`] | Chen et al. column DP for SAP-U, constant K (§1.1) | 1 (poly for constant K) |
 //! | [`baselines`] | greedy first-fit SAP | — |
 //!
 //! Every algorithm returns a [`sap_core::SapSolution`] that passes the
@@ -28,18 +27,14 @@ pub mod combined;
 pub mod driver;
 pub mod exact;
 pub mod large;
-pub mod lemma13;
 pub mod medium;
 pub mod ring;
-pub mod sapu;
 pub mod small;
 
 pub use combined::{solve, sweep_params, SapParams};
 pub use driver::{try_solve, try_solve_practical};
 pub use exact::{is_sap_feasible, solve_exact_sap, Exact, ExactConfig};
 pub use large::try_solve_large;
-pub use lemma13::{solve_lemma13_dp, Lemma13Config};
 pub use medium::{try_solve_medium_with_stats, MediumParams};
 pub use ring::{solve_ring, RingParams};
-pub use sapu::solve_sapu_exact_dp;
 pub use small::{try_solve_small, SmallAlgo, SmallRun};

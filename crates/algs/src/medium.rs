@@ -30,8 +30,9 @@
 //! halves; Lemma 15's factor 2 then no longer holds for that class. A
 //! class of more than [`MediumParams::max_class_size`] tasks splits the
 //! greedy baseline only. The `T2` experiment reports how many classes
-//! were solved exactly. The paper's DP stays in [`crate::lemma13`] as a
-//! reference, cross-checked against the search in its own tests.
+//! were solved exactly. The paper's DP is kept as a reference in
+//! `sap_bench::oracles::lemma13`, whose tests cross-check it against the
+//! search.
 
 use sap_core::budget::{Budget, CheckpointClass};
 use sap_core::error::SapResult;
@@ -72,13 +73,6 @@ impl Default for MediumParams {
             exact: ExactConfig { max_states: 10_000 },
             max_class_size: 28,
         }
-    }
-}
-
-impl MediumParams {
-    /// The ℓ achieving ratio `(1+ε)·2` for `ε = 1/eps_inv`: `ℓ = q·eps_inv`.
-    pub fn for_epsilon(q: u32, eps_inv: u32) -> Self {
-        MediumParams { q, ell: q * eps_inv, ..Default::default() }
     }
 }
 

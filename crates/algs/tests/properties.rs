@@ -10,9 +10,8 @@ use std::fmt::Debug;
 
 use lp_solver::SimplexOptions;
 use sap_algs::{
-    baselines::greedy_sap_best, solve, solve_exact_sap, solve_lemma13_dp, try_solve_large,
-    try_solve_medium_with_stats, try_solve_small, ExactConfig, Lemma13Config, MediumParams,
-    SapParams, SmallAlgo,
+    baselines::greedy_sap_best, solve, solve_exact_sap, try_solve_large,
+    try_solve_medium_with_stats, try_solve_small, ExactConfig, MediumParams, SapParams, SmallAlgo,
 };
 use sap_core::{Budget, Instance, PathNetwork, SapError, SapResult, Span, Task, TaskId};
 use sap_gen::{generate, DemandRegime, GenConfig, Rng64};
@@ -105,33 +104,6 @@ fn exact_is_monotone_in_task_set() {
     }
 }
 
-/// Uniform-capacity instances: the Chen et al. column DP agrees with
-/// the search-based exact solver (two independent exact algorithms).
-#[test]
-fn sapu_dp_cross_validates_exact() {
-    for case in 0..CASES {
-        let mut rng = Rng64::seed_from_u64(0xa195_0004 ^ case);
-        let m = rng.gen_range(2usize..=5);
-        let k = rng.gen_range(2u64..=5);
-        let n = rng.gen_range(1usize..=9);
-        let net = PathNetwork::uniform(m, k).unwrap();
-        let tasks: Vec<Task> = (0..n)
-            .map(|_| {
-                let lo = rng.gen_range(0usize..5).min(m - 1);
-                let len = rng.gen_range(1usize..=5);
-                let hi = (lo + len).min(m).max(lo + 1);
-                let d = rng.gen_range(1u64..=5);
-                Task::of(lo, hi, d.min(k), rng.gen_range(1u64..=20))
-            })
-            .collect();
-        let inst = Instance::new(net, tasks).unwrap();
-        let ids = inst.all_ids();
-        let dp = sap_algs::solve_sapu_exact_dp(&inst, &ids);
-        dp.validate(&inst).unwrap();
-        assert_eq!(dp.weight(&inst), opt(&inst, &ids), "case {case}");
-    }
-}
-
 /// Checks one core's work-unit boundary and returns `(U, L*)`: `U` is
 /// what the core meters under `Budget::unlimited()`, and `L*` the first
 /// work-unit limit that does not trip. Every limit probed on the way must
@@ -179,10 +151,9 @@ fn limit_boundary<T: PartialEq + Debug>(
 
 /// A work-unit limit only trips a core and never steers it.
 ///
-/// The single-meter cores (exact search, Lemma-13 DP, rectangle
-/// packing) meet the boundary exactly: under a limit of `U` they return
-/// the unlimited result with the same work profile, and under `U − 1`
-/// they trip. The small and medium arms fan out through
+/// The single-meter cores (exact search, rectangle packing) meet the
+/// boundary exactly: under a limit of `U` they return the unlimited
+/// result with the same work profile, and under `U − 1` they trip. The small and medium arms fan out through
 /// `map_reduce_isolated`, which splits the limit into fixed per-item
 /// shares before dispatch so that trip points do not depend on the
 /// worker width. One stratum or class can then exhaust its share while
@@ -199,10 +170,6 @@ fn work_limits_trip_but_never_steer() {
             solve_exact_sap(&inst, &ids, ExactConfig::default(), b)
         });
         assert_eq!(l, u, "exact, seed {seed}");
-        let (u, l) = limit_boundary("lemma13", |b| {
-            solve_lemma13_dp(&inst, &ids, Lemma13Config::default(), b)
-        });
-        assert_eq!(l, u, "lemma13, seed {seed}");
 
         let inst = generate(&config(DemandRegime::Large { k: 2 }, 12, 40), seed);
         let ids = inst.all_ids();

@@ -6,12 +6,12 @@
 //! workloads; interval MWIS only competes when tasks are so large that
 //! one task per column is optimal.
 
+use crate::oracles::ufpp::weighted_interval_scheduling;
 use crate::par_seeds;
 use sap_algs::baselines::greedy_sap_best;
 use sap_algs::SapParams;
 use sap_core::{Instance, PathNetwork, Task};
 use sap_gen::DemandRegime;
-use ufpp::local_ratio::weighted_interval_scheduling;
 
 use crate::table::Table;
 

@@ -8,6 +8,7 @@
 //! solution (combined ∨ greedy). The Fig. 1 witnesses show the exact gap
 //! factor can exceed 1; random instances show how large it typically is.
 
+use crate::oracles::ufpp;
 use crate::par_seeds;
 use sap_algs::{solve_exact_sap, ExactConfig, SapParams};
 use sap_core::Budget;

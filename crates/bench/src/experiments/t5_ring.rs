@@ -4,8 +4,9 @@
 //! cut-path / through-knapsack winner split on realistic rings — the
 //! paper's Lemma 18 predicts both branches matter.
 
+use crate::oracles::solve_ring_exact;
 use crate::par_seeds;
-use sap_algs::ring::{solve_ring, solve_ring_exact, RingParams, RingWinner};
+use sap_algs::ring::{solve_ring, RingParams, RingWinner};
 use sap_gen::{generate_ring, CapacityProfile, RingGenConfig};
 
 use crate::table::{fmt_mean_max, Table};

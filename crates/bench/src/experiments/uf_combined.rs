@@ -2,8 +2,8 @@
 //! framework the paper adapts, run on UFPP itself. Measured against the
 //! exact UFPP optimum, with the per-regime winner split.
 
+use crate::oracles::ufpp::{solve_exact, solve_ufpp_combined, UfppParams};
 use crate::par_seeds;
-use ufpp::{solve_exact, solve_ufpp_combined, UfppParams};
 
 use crate::table::{fmt_mean_max, Table};
 use crate::workloads::{mixed_workload, tiny_mixed_workload};

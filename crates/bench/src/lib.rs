@@ -17,6 +17,7 @@
 #![forbid(unsafe_code)]
 
 pub mod experiments;
+pub mod oracles;
 pub mod table;
 pub mod workloads;
 

@@ -16,9 +16,9 @@
 //! subset-sum set, polynomial for constant `L` exactly as the paper
 //! states, and practical for the class sizes the medium-task algorithm
 //! produces. The test-suite cross-validates it against the independent
-//! search-based exact solver ([`crate::exact`]). It is kept as the
-//! paper's reference DP: no solve path calls it, since Elevator runs
-//! that search per class.
+//! search-based exact solver ([`sap_algs::exact`]). It is the paper's
+//! reference DP: no solve path calls it, since Elevator runs that search
+//! per class.
 
 use std::collections::BTreeMap;
 
@@ -188,7 +188,7 @@ pub fn solve_lemma13_dp(
     let mut state = best_state;
     for e in (0..m).rev() {
         let layer = if e == m - 1 { &prev } else { &history[e + 1] };
-        // lint:allow(p1) — every stored state records the parent it was
+        // Every stored state records the parent it was
         // reached from, so the traceback chain is closed by construction.
         let (_, parent, placed) = layer.get(&state).expect("traceback state exists");
         placements.extend_from_slice(placed);
@@ -197,127 +197,4 @@ pub fn solve_lemma13_dp(
     let sol = SapSolution::new(placements);
     debug_assert!(sol.validate(instance).is_ok());
     Ok(Some(sol))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::exact::{solve_exact_sap, ExactConfig};
-    use sap_core::{PathNetwork, Task};
-
-    /// Unbudgeted DP run.
-    fn dp(inst: &Instance, ids: &[TaskId], config: Lemma13Config) -> Option<SapSolution> {
-        solve_lemma13_dp(inst, ids, config, &Budget::unlimited()).unwrap()
-    }
-
-    fn random_instance(seed: u64, m: usize, n: usize, delta_inv_max: u64) -> Instance {
-        let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
-        let caps: Vec<u64> = (0..m).map(|_| 16 + next() % 48).collect();
-        let net = PathNetwork::new(caps).unwrap();
-        let tasks: Vec<Task> = (0..n)
-            .map(|_| {
-                let lo = (next() % m as u64) as usize;
-                let hi = (lo + 1 + (next() % (m as u64 - lo as u64)) as usize).min(m);
-                let b = net.bottleneck(sap_core::Span { lo, hi });
-                // δ-large-ish demands so crossing sets stay small.
-                let d = (b / delta_inv_max + 1 + next() % b).min(b).max(1);
-                Task::of(lo, hi, d, 1 + next() % 20)
-            })
-            .collect();
-        Instance::new(net, tasks).unwrap()
-    }
-
-    #[test]
-    fn dp_placements_do_not_depend_on_map_order() {
-        // Equal task weights make equal-weight optima common, so the
-        // final `max_by_key` constantly breaks ties. The DP maps are
-        // BTreeMaps precisely so those ties resolve the same way every
-        // run — with HashMaps each run draws a fresh RandomState and
-        // repeated in-process solves could return different (equally
-        // optimal) placement sets.
-        for seed in 0..6 {
-            let base = random_instance(seed, 4, 8, 4);
-            let net = base.network().clone();
-            let tasks: Vec<Task> = base
-                .all_ids()
-                .iter()
-                .map(|&j| {
-                    let sp = base.span(j);
-                    Task::of(sp.lo, sp.hi, base.demand(j), 7)
-                })
-                .collect();
-            let inst = Instance::new(net, tasks).unwrap();
-            let ids = inst.all_ids();
-            let first = dp(&inst, &ids, Lemma13Config::default()).expect("budget");
-            for round in 0..4 {
-                let again = dp(&inst, &ids, Lemma13Config::default()).expect("budget");
-                assert_eq!(
-                    first.placements, again.placements,
-                    "seed {seed} round {round}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn dp_matches_search_exact() {
-        for seed in 0..12 {
-            let inst = random_instance(seed, 5, 9, 4);
-            let ids = inst.all_ids();
-            let sol = dp(&inst, &ids, Lemma13Config::default()).expect("budget");
-            sol.validate(&inst).unwrap();
-            let search = solve_exact_sap(&inst, &ids, ExactConfig::default(), &Budget::unlimited())
-                .unwrap()
-                .optimal()
-                .unwrap();
-            assert_eq!(sol.weight(&inst), search.weight(&inst), "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn dp_on_knapsack_core() {
-        let net = PathNetwork::new(vec![10]).unwrap();
-        let tasks = vec![
-            Task::of(0, 1, 6, 60),
-            Task::of(0, 1, 5, 50),
-            Task::of(0, 1, 5, 50),
-        ];
-        let inst = Instance::new(net, tasks).unwrap();
-        let sol = dp(&inst, &inst.all_ids(), Lemma13Config::default()).unwrap();
-        assert_eq!(sol.weight(&inst), 100);
-    }
-
-    #[test]
-    fn dp_respects_height_interactions_across_edges() {
-        // A task entering later must be placeable *under* an earlier one:
-        // the subset-sum candidate heights make this possible.
-        let net = PathNetwork::new(vec![8, 8, 8]).unwrap();
-        let tasks = vec![
-            Task::of(0, 3, 3, 10), // long
-            Task::of(1, 3, 5, 10), // must sit above or below the long one
-            Task::of(0, 1, 5, 10), // forces the long task up on edge 0
-        ];
-        let inst = Instance::new(net, tasks).unwrap();
-        let sol = dp(&inst, &inst.all_ids(), Lemma13Config::default()).unwrap();
-        // All three fit: task 2 at [0,5), task 0 at [5,8), task 1 at [0,5).
-        assert_eq!(sol.weight(&inst), 30);
-        assert_eq!(sol.len(), 3);
-    }
-
-    #[test]
-    fn empty_and_budget() {
-        let inst = random_instance(0, 3, 4, 4);
-        assert!(dp(&inst, &[], Lemma13Config::default()).unwrap().is_empty());
-        // A tiny state budget must be reported as exhaustion, not wrong
-        // answers.
-        let tight = Lemma13Config { max_states: 1, max_heights: 4096 };
-        let r = dp(&inst, &inst.all_ids(), tight);
-        assert!(r.is_none() || r.unwrap().validate(&inst).is_ok());
-    }
 }

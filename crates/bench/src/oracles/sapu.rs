@@ -9,7 +9,7 @@
 //! may claim any free contiguous block of their demand.
 //!
 //! This is an independent second exact solver: the test-suite
-//! cross-validates it against the search-based [`crate::exact`] solver,
+//! cross-validates it against the search-based [`sap_algs::exact`] solver,
 //! so a bug in either would have to be mirrored in a completely
 //! different algorithm to go unnoticed.
 
@@ -109,7 +109,7 @@ pub fn solve_sapu_exact_dp(instance: &Instance, ids: &[TaskId]) -> SapSolution {
                 stack.push((st.clone(), next_starter + 1, w, placed.clone()));
                 // Option 2: place it at each free contiguous block.
                 let d = instance.demand(j) as usize;
-                // lint:allow(p1) — `starters` partitions exactly the ids in
+                // `starters` partitions exactly the ids in
                 // `ids`, so the lookup always succeeds.
                 let pos_in_ids = ids.iter().position(|&x| x == j).expect("starter in ids") as u32;
                 for h in 0..=(k.saturating_sub(d)) {
@@ -158,118 +158,4 @@ pub fn solve_sapu_exact_dp(instance: &Instance, ids: &[TaskId]) -> SapSolution {
     let sol = SapSolution::new(placements);
     debug_assert!(sol.validate(instance).is_ok());
     sol
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::exact::{solve_exact_sap, ExactConfig};
-    use sap_core::{Budget, PathNetwork, Task};
-
-    fn random_sapu(seed: u64, m: usize, n: usize, k: u64) -> Instance {
-        let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
-        let net = PathNetwork::uniform(m, k).unwrap();
-        let tasks: Vec<Task> = (0..n)
-            .map(|_| {
-                let lo = (next() % m as u64) as usize;
-                let hi = (lo + 1 + (next() % (m as u64 - lo as u64)) as usize).min(m);
-                Task::of(lo, hi, 1 + next() % k, 1 + next() % 20)
-            })
-            .collect();
-        Instance::new(net, tasks).unwrap()
-    }
-
-    #[test]
-    fn placements_do_not_depend_on_map_order() {
-        // Equal weights force constant tie-breaking in the final state
-        // scan; BTreeMap layers make every repeated solve return the
-        // same placements (HashMap layers re-seed per map and could
-        // pick a different equally-optimal state each run).
-        for (seed, k) in [(1u64, 3u64), (2, 4), (3, 5)] {
-            let base = random_sapu(seed, 4, 8, k);
-            let net = base.network().clone();
-            let tasks: Vec<Task> = base
-                .all_ids()
-                .iter()
-                .map(|&j| {
-                    let sp = base.span(j);
-                    Task::of(sp.lo, sp.hi, base.demand(j), 5)
-                })
-                .collect();
-            let inst = Instance::new(net, tasks).unwrap();
-            let ids = inst.all_ids();
-            let first = solve_sapu_exact_dp(&inst, &ids);
-            for round in 0..4 {
-                let again = solve_sapu_exact_dp(&inst, &ids);
-                assert_eq!(
-                    first.placements, again.placements,
-                    "seed {seed} round {round}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn matches_search_based_exact_solver() {
-        for (seed, k) in [(1u64, 2u64), (2, 3), (3, 4), (4, 5), (5, 3), (6, 4)] {
-            let inst = random_sapu(seed, 5, 10, k);
-            let ids = inst.all_ids();
-            let dp = solve_sapu_exact_dp(&inst, &ids);
-            dp.validate(&inst).unwrap();
-            let search = solve_exact_sap(&inst, &ids, ExactConfig::default(), &Budget::unlimited())
-                .unwrap()
-                .optimal()
-                .unwrap();
-            assert_eq!(
-                dp.weight(&inst),
-                search.weight(&inst),
-                "seed {seed}, K={k}"
-            );
-        }
-    }
-
-    #[test]
-    fn unit_capacity_is_interval_scheduling() {
-        let inst = random_sapu(7, 6, 12, 1);
-        let ids = inst.all_ids();
-        let dp = solve_sapu_exact_dp(&inst, &ids);
-        let mwis = ufpp::local_ratio::weighted_interval_scheduling(&inst, &ids);
-        assert_eq!(dp.weight(&inst), inst.total_weight(&mwis));
-    }
-
-    #[test]
-    fn rejects_nonuniform() {
-        let net = PathNetwork::new(vec![2, 3]).unwrap();
-        let inst = Instance::new(net, vec![Task::of(0, 1, 1, 1)]).unwrap();
-        let result = std::panic::catch_unwind(|| solve_sapu_exact_dp(&inst, &[0]));
-        assert!(result.is_err());
-    }
-
-    #[test]
-    fn empty_input() {
-        let inst = random_sapu(8, 4, 0, 3);
-        assert!(solve_sapu_exact_dp(&inst, &[]).is_empty());
-    }
-
-    #[test]
-    fn full_column_packing() {
-        // Demands exactly fill the capacity: the DP must find the tight
-        // packing.
-        let net = PathNetwork::uniform(2, 4).unwrap();
-        let tasks = vec![
-            Task::of(0, 2, 2, 5),
-            Task::of(0, 2, 1, 3),
-            Task::of(0, 2, 1, 3),
-            Task::of(0, 2, 2, 4),
-        ];
-        let inst = Instance::new(net, tasks).unwrap();
-        let dp = solve_sapu_exact_dp(&inst, &inst.all_ids());
-        assert_eq!(dp.weight(&inst), 11, "2+1+1 units: tasks 0,1,2");
-    }
 }

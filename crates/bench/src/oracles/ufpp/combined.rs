@@ -21,9 +21,9 @@
 
 use sap_core::{classes_k_ell, classify_by_size, Instance, PathNetwork, Ratio, TaskId, UfppSolution};
 
-use crate::exact::solve_exact;
-use crate::greedy::greedy_by_density;
-use crate::heuristic::round_lp_against_capacities;
+use super::exact::solve_exact;
+use super::greedy::greedy_by_density;
+use super::heuristic::round_lp_against_capacities;
 
 /// Parameters of the UFPP combined solver.
 #[derive(Debug, Clone)]
@@ -99,8 +99,9 @@ pub fn solve_ufpp_combined(
     )
 }
 
-/// The AlmostUniform framework for UFPP with reserved capacities.
-fn medium_framework(instance: &Instance, ids: &[TaskId], params: &UfppParams) -> UfppSolution {
+/// The AlmostUniform framework for UFPP with reserved capacities: the
+/// medium regime of [`solve_ufpp_combined`].
+pub fn medium_framework(instance: &Instance, ids: &[TaskId], params: &UfppParams) -> UfppSolution {
     if ids.is_empty() {
         return UfppSolution::empty();
     }
@@ -182,86 +183,5 @@ fn large_rectangles(instance: &Instance, ids: &[TaskId]) -> UfppSolution {
         // An unlimited budget cannot trip, so only the memo-state cap
         // lands here.
         Ok(None) | Err(_) => greedy_by_density(instance, ids),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sap_core::Task;
-
-    fn instance(seed: u64, m: usize, n: usize) -> Instance {
-        let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
-        let caps: Vec<u64> = (0..m).map(|_| 32 + next() % 224).collect();
-        let net = PathNetwork::new(caps).unwrap();
-        let tasks: Vec<Task> = (0..n)
-            .map(|_| {
-                let lo = (next() % m as u64) as usize;
-                let hi = (lo + 1 + (next() % (m as u64 - lo as u64)) as usize).min(m);
-                let b = net.bottleneck(sap_core::Span { lo, hi });
-                Task::of(lo, hi, 1 + next() % b, 1 + next() % 30)
-            })
-            .collect();
-        Instance::new(net, tasks).unwrap()
-    }
-
-    #[test]
-    fn combined_ufpp_is_feasible_and_reports_winner() {
-        for seed in 0..8 {
-            let inst = instance(seed, 8, 40);
-            let ids = inst.all_ids();
-            let (sol, stats) = solve_ufpp_combined(&inst, &ids, &UfppParams::default());
-            sol.validate(&inst).unwrap();
-            let w = sol.weight(&inst);
-            assert_eq!(
-                w,
-                stats.small_weight.max(stats.medium_weight).max(stats.large_weight)
-            );
-            assert!(["small", "medium", "large"].contains(&stats.winner));
-        }
-    }
-
-    #[test]
-    fn combined_ufpp_ratio_on_small_instances() {
-        // Measured comparator: stays within a small constant of exact.
-        for seed in 0..8 {
-            let inst = instance(seed + 30, 5, 11);
-            let ids = inst.all_ids();
-            let opt = solve_exact(&inst, &ids).weight(&inst);
-            let (sol, _) = solve_ufpp_combined(&inst, &ids, &UfppParams::default());
-            let w = sol.weight(&inst);
-            assert!(w <= opt);
-            assert!(8 * w >= opt, "seed {seed}: combined-UFPP {w} vs opt {opt}");
-        }
-    }
-
-    #[test]
-    fn medium_framework_unions_are_feasible() {
-        for seed in 0..6 {
-            let inst = instance(seed + 60, 10, 50);
-            // Feed it everything; it will classify internally when called
-            // through solve_ufpp_combined, here we stress the framework
-            // directly on the ½-small tasks.
-            let ids: Vec<TaskId> = inst
-                .all_ids()
-                .into_iter()
-                .filter(|&j| 2 * inst.demand(j) <= inst.bottleneck(j))
-                .collect();
-            let sol = medium_framework(&inst, &ids, &UfppParams::default());
-            sol.validate(&inst).unwrap();
-        }
-    }
-
-    #[test]
-    fn empty_input() {
-        let inst = instance(0, 4, 6);
-        let (sol, _) = solve_ufpp_combined(&inst, &[], &UfppParams::default());
-        assert!(sol.is_empty());
     }
 }

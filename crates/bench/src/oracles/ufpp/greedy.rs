@@ -55,44 +55,3 @@ fn greedy_in_order(instance: &Instance, order: &[TaskId]) -> UfppSolution {
     }
     UfppSolution::new(chosen)
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sap_core::{PathNetwork, Task};
-
-    #[test]
-    fn greedy_solutions_are_feasible_and_maximal() {
-        let net = PathNetwork::new(vec![5, 3, 5]).unwrap();
-        let tasks = vec![
-            Task::of(0, 3, 3, 10),
-            Task::of(0, 1, 2, 2),
-            Task::of(2, 3, 2, 2),
-            Task::of(1, 2, 1, 1),
-        ];
-        let inst = Instance::new(net, tasks).unwrap();
-        for sol in [
-            greedy_by_weight(&inst, &inst.all_ids()),
-            greedy_by_density(&inst, &inst.all_ids()),
-        ] {
-            sol.validate(&inst).unwrap();
-            assert!(sol.tasks.contains(&0), "heaviest task always fits first");
-        }
-    }
-
-    #[test]
-    fn weight_greedy_can_be_beaten_by_density() {
-        // One heavy long task blocks two light short ones whose sum wins.
-        let net = PathNetwork::uniform(4, 2).unwrap();
-        let tasks = vec![
-            Task::of(0, 4, 2, 5), // heavy blocker
-            Task::of(0, 2, 2, 3),
-            Task::of(2, 4, 2, 3),
-        ];
-        let inst = Instance::new(net, tasks).unwrap();
-        let by_w = greedy_by_weight(&inst, &inst.all_ids());
-        assert_eq!(by_w.weight(&inst), 5);
-        let by_d = greedy_by_density(&inst, &inst.all_ids());
-        assert_eq!(by_d.weight(&inst), 6);
-    }
-}

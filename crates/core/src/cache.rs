@@ -223,13 +223,6 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedLru<K, V> {
         self.shards.len()
     }
 
-    /// Sum of the per-shard capacities (≥ the configured capacity).
-    pub fn total_capacity(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| Self::lock(s).capacity())
-            .fold(0usize, usize::saturating_add)
-    }
 
     /// Total live entries across all shards.
     pub fn len(&self) -> usize {
@@ -396,19 +389,24 @@ mod tests {
         assert_eq!(c.finish(), d.finish());
     }
 
+    /// Sum of the per-shard capacities.
+    fn total_capacity(cache: &ShardedLru<u64, u64>) -> usize {
+        cache.shards.iter().map(|s| ShardedLru::<u64, u64>::lock(s).capacity()).sum()
+    }
+
     #[test]
     fn sharded_capacity_never_rounds_below_configured() {
         for capacity in [1usize, 2, 3, 7, 64, 100, 256, 1000] {
             for shards in [1usize, 2, 3, 5, 8, 16, 64] {
                 let cache: ShardedLru<u64, u64> = ShardedLru::new(capacity, shards);
                 assert_eq!(cache.shard_count(), shards);
+                let total = total_capacity(&cache);
                 assert!(
-                    cache.total_capacity() >= capacity,
-                    "capacity {capacity} over {shards} shards rounded down to {}",
-                    cache.total_capacity()
+                    total >= capacity,
+                    "capacity {capacity} over {shards} shards rounded down to {total}"
                 );
                 // And never rounds up by a whole extra shard's worth.
-                assert!(cache.total_capacity() < capacity.saturating_add(shards));
+                assert!(total < capacity.saturating_add(shards));
             }
         }
     }
@@ -419,7 +417,7 @@ mod tests {
         assert!(!cache.insert(3, 3, 30));
         assert!(cache.is_empty());
         assert_eq!(cache.get(3, &3), None);
-        assert_eq!(cache.total_capacity(), 0);
+        assert_eq!(total_capacity(&cache), 0);
     }
 
     #[test]

@@ -122,11 +122,6 @@ impl Instance {
         ids.iter().map(|&j| self.tasks[j].weight).sum()
     }
 
-    /// Total demand `d(S)` of a set of task ids.
-    pub fn total_demand(&self, ids: &[TaskId]) -> u64 {
-        ids.iter().map(|&j| self.tasks[j].demand).sum()
-    }
-
     /// Per-edge load `d(S(e))` of a set of task ids, computed with a
     /// difference array in O(|S| + m).
     pub fn loads(&self, ids: &[TaskId]) -> Vec<u64> {
@@ -149,26 +144,6 @@ impl Instance {
     /// `LOAD(S)` — the maximum per-edge load of a set of task ids.
     pub fn max_load(&self, ids: &[TaskId]) -> u64 {
         self.loads(ids).into_iter().max().unwrap_or(0)
-    }
-
-    /// Builds a sub-instance containing exactly the tasks in `ids`
-    /// (in the given order) over the same network. Returns the
-    /// sub-instance and the id map: entry `i` of the map is the original
-    /// id of the sub-instance's task `i`.
-    pub fn restrict(&self, ids: &[TaskId]) -> (Instance, Vec<TaskId>) {
-        let tasks: Vec<Task> = ids.iter().map(|&j| self.tasks[j]).collect();
-        let inst = Instance::new(self.network.clone(), tasks)
-            // lint:allow(p1) — the tasks were validated against this same
-            // network when `self` was constructed, so revalidation cannot fail.
-            .expect("restriction of a valid instance is valid");
-        (inst, ids.to_vec())
-    }
-
-    /// Builds a sub-instance with the same tasks but a different capacity
-    /// profile. Tasks whose demand now exceeds their bottleneck are pruned;
-    /// the returned map gives original ids.
-    pub fn with_network(&self, network: PathNetwork) -> SapResult<(Instance, Vec<TaskId>)> {
-        Instance::new_pruning(network, self.tasks.clone())
     }
 
     /// All task ids `0 .. n`.
@@ -243,7 +218,6 @@ mod tests {
         assert_eq!(i.max_load(&[0, 1, 2]), 11);
         assert_eq!(i.max_load(&[]), 0);
         assert_eq!(i.total_weight(&[0, 2]), 6);
-        assert_eq!(i.total_demand(&[0, 2]), 12);
     }
 
     #[test]
@@ -253,15 +227,5 @@ mod tests {
         let net = PathNetwork::new(vec![4, 7, 9]).unwrap();
         let nba = Instance::new(net, vec![Task::of(0, 3, 4, 1), Task::of(2, 3, 2, 1)]).unwrap();
         assert!(nba.satisfies_nba());
-    }
-
-    #[test]
-    fn restrict_keeps_order_and_maps_ids() {
-        let i = inst();
-        let (sub, map) = i.restrict(&[2, 0]);
-        assert_eq!(sub.num_tasks(), 2);
-        assert_eq!(map, vec![2, 0]);
-        assert_eq!(sub.task(0).demand, 9);
-        assert_eq!(sub.task(1).demand, 3);
     }
 }

@@ -60,12 +60,6 @@ impl PathNetwork {
         self.capacities.len()
     }
 
-    /// Number of vertices `m + 1`.
-    #[inline]
-    pub fn num_vertices(&self) -> usize {
-        self.capacities.len() + 1
-    }
-
     /// Capacity of edge `e`.
     #[inline]
     pub fn capacity(&self, e: EdgeId) -> Capacity {
@@ -130,7 +124,6 @@ mod tests {
     fn uniform_network() {
         let net = PathNetwork::uniform(5, 10).unwrap();
         assert_eq!(net.num_edges(), 5);
-        assert_eq!(net.num_vertices(), 6);
         assert!(net.is_uniform());
         assert_eq!(net.min_capacity(), 10);
         assert_eq!(net.max_capacity(), 10);

@@ -45,12 +45,6 @@ impl Span {
         self.lo <= e && e < self.hi
     }
 
-    /// True when `self`'s edge set contains `other`'s.
-    #[inline]
-    pub fn contains_span(&self, other: Span) -> bool {
-        self.lo <= other.lo && other.hi <= self.hi
-    }
-
     /// Intersection of the two edge ranges, if non-empty.
     pub fn intersect(&self, other: Span) -> Option<Span> {
         Span::new(self.lo.max(other.lo), self.hi.min(other.hi))
@@ -124,15 +118,6 @@ mod tests {
         assert!(b.overlaps(c));
         assert_eq!(a.intersect(b), Span::new(2, 3));
         assert_eq!(a.intersect(c), None);
-    }
-
-    #[test]
-    fn span_containment() {
-        let outer = Span::new(1, 6).unwrap();
-        let inner = Span::new(2, 4).unwrap();
-        assert!(outer.contains_span(inner));
-        assert!(!inner.contains_span(outer));
-        assert!(outer.contains_span(outer));
     }
 
     #[test]

@@ -290,12 +290,6 @@ impl Telemetry {
             .find(|k| k.name == name)
             .map(|k| Telemetry { node: Some(Arc::clone(k)) })
     }
-
-    /// Owned, sorted snapshot of this phase's subtree (see
-    /// [`Recorder::snapshot`]); `None` when the handle is off.
-    pub fn snapshot_node(&self) -> Option<ObsNode> {
-        self.node.as_ref().map(|n| n.snapshot())
-    }
 }
 
 /// RAII guard for an entered phase. Derefs to the phase's [`Telemetry`]
@@ -611,8 +605,5 @@ mod tests {
         assert_eq!(beta.hists.get("sizes").map(Histogram::total), Some(1));
         assert_eq!(snap.child("alpha").expect("captured").gauges.get("peak"), Some(&9));
         assert!(snap.child("missing").is_none());
-        // The off handle has nothing to snapshot.
-        assert!(Telemetry::off().snapshot_node().is_none());
-        assert_eq!(t.snapshot_node().expect("enabled"), snap);
     }
 }

@@ -59,12 +59,6 @@ impl Ratio {
         Ratio { num, den }
     }
 
-    /// `1 / k`.
-    #[must_use]
-    pub const fn recip(k: u64) -> Self {
-        Ratio::new(1, k)
-    }
-
     /// True when `value ≤ self · base`, exactly (u128 cross-multiplication).
     #[inline]
     pub fn le_scaled(&self, value: u64, base: u64) -> bool {

@@ -230,35 +230,6 @@ pub fn solve_exact_branch_and_bound(items: &[Item], capacity: u64) -> KnapsackSo
     KnapsackSolution::of(chosen, items)
 }
 
-/// Greedy by weight/size density — the classic ½-approximation baseline
-/// when combined with the best single item.
-pub fn greedy_density(items: &[Item], capacity: u64) -> KnapsackSolution {
-    let mut order: Vec<usize> = (0..items.len()).filter(|&i| items[i].size <= capacity).collect();
-    order.sort_by(|&a, &b| {
-        // compare w_a/s_a vs w_b/s_b exactly: w_a·s_b vs w_b·s_a
-        let lhs = items[a].weight as u128 * items[b].size as u128;
-        let rhs = items[b].weight as u128 * items[a].size as u128;
-        rhs.cmp(&lhs)
-    });
-    let mut used = 0u64;
-    let mut chosen = Vec::new();
-    for i in order {
-        if used + items[i].size <= capacity {
-            used += items[i].size;
-            chosen.push(i);
-        }
-    }
-    let greedy = KnapsackSolution::of(chosen, items);
-    // Best single item fallback.
-    let best_single = (0..items.len())
-        .filter(|&i| items[i].size <= capacity)
-        .max_by_key(|&i| items[i].weight);
-    match best_single {
-        Some(i) if items[i].weight > greedy.weight => KnapsackSolution::of(vec![i], items),
-        _ => greedy,
-    }
-}
-
 /// Validates a solution: distinct indices, total size within capacity.
 pub fn validate(items: &[Item], capacity: u64, sol: &KnapsackSolution) -> bool {
     let mut seen = vec![false; items.len()];
@@ -406,18 +377,6 @@ mod tests {
         let items = rng_items(7, 10, 10, 15);
         let opt = solve_exact_by_capacity(&items, 40).weight;
         assert_eq!(fptas(&items, 40, 1, 3).weight, opt);
-    }
-
-    #[test]
-    fn greedy_with_best_single_is_half_approx() {
-        for seed in 0..40 {
-            let items = rng_items(seed + 500, 12, 30, 50);
-            let cap = 50;
-            let opt = brute_force(&items, cap);
-            let sol = greedy_density(&items, cap);
-            assert!(validate(&items, cap, &sol));
-            assert!(2 * sol.weight >= opt, "seed {seed}: {} vs {opt}", sol.weight);
-        }
     }
 
     #[test]

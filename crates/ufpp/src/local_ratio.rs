@@ -1,15 +1,8 @@
-//! Local-ratio algorithms.
-//!
-//! * [`strip_local_ratio`] — Algorithm **Strip** from the paper's appendix:
-//!   for a δ-small instance with `b(j) ∈ [B, 2B)` it computes a
-//!   `½B`-packable UFPP solution with `w(S) ≥ (1−4δ)/5 · OPT_SAP` —
-//!   the `(5+ε)` alternative to the LP-rounding of §4.1.
-//! * [`uniform_best_of`] — a classical local-ratio baseline for uniform
-//!   capacities in the spirit of Bar-Noy et al. [5]: exact weighted
-//!   interval scheduling on *wide* tasks (`2d > c`: overlapping wide tasks
-//!   always conflict) combined with a local-ratio pass on *narrow* tasks;
-//!   the heavier of the two is returned (Lemma 3 gives ratio
-//!   `r_wide + r_narrow`).
+//! Local-ratio selection: [`strip_local_ratio`] is Algorithm **Strip**
+//! from the paper's appendix. For a δ-small instance with
+//! `b(j) ∈ [B, 2B)` it computes a `½B`-packable UFPP solution with
+//! `w(S) ≥ (1−4δ)/5 · OPT_SAP` — the `(5+ε)` alternative to the
+//! LP-rounding of §4.1.
 
 use sap_core::{Instance, TaskId, UfppSolution};
 
@@ -70,109 +63,6 @@ pub fn strip_local_ratio(instance: &Instance, ids: &[TaskId], b: u64) -> UfppSol
     }
     chosen.reverse();
     UfppSolution::new(chosen)
-}
-
-/// Exact weighted interval scheduling: maximum-weight set of pairwise
-/// non-overlapping spans among `ids`. O(n log n).
-pub fn weighted_interval_scheduling(instance: &Instance, ids: &[TaskId]) -> Vec<TaskId> {
-    let mut order: Vec<TaskId> = ids.to_vec();
-    order.sort_by_key(|&j| (instance.span(j).hi, instance.span(j).lo, j));
-    let n = order.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    // p[i] = number of tasks (prefix length) with hi ≤ lo_i.
-    let his: Vec<usize> = order.iter().map(|&j| instance.span(j).hi).collect();
-    let mut p = vec![0usize; n];
-    for i in 0..n {
-        let lo = instance.span(order[i]).lo;
-        p[i] = his.partition_point(|&h| h <= lo);
-    }
-    let mut best = vec![0u64; n + 1];
-    let mut take = vec![false; n];
-    for i in 0..n {
-        // lint:allow(p1) — p[i] = partition_point(..) ≤ n and best has n+1
-        // slots, so every index is in bounds.
-        let with = instance.weight(order[i]) + best[p[i]];
-        if with > best[i] {
-            best[i + 1] = with;
-            take[i] = true;
-        } else {
-            best[i + 1] = best[i];
-        }
-    }
-    let mut chosen = Vec::new();
-    let mut i = n;
-    while i > 0 {
-        if take[i - 1] {
-            chosen.push(order[i - 1]);
-            i = p[i - 1];
-        } else {
-            i -= 1;
-        }
-    }
-    chosen.reverse();
-    chosen
-}
-
-/// Local-ratio pass for narrow tasks (`2d ≤ c`) on uniform capacity `c`:
-/// ratio 3 (upper bound `w1(T) ≤ 3·w(j*)`, maximality gives
-/// `w1(S) ≥ w(j*)`).
-pub fn narrow_local_ratio(instance: &Instance, ids: &[TaskId], c: u64) -> UfppSolution {
-    let mut weight: Vec<f64> = ids.iter().map(|&j| instance.weight(j) as f64).collect();
-    let mut alive: Vec<bool> = weight.iter().map(|&w| w > POS).collect();
-    let mut stack: Vec<usize> = Vec::new();
-    loop {
-        let jstar = (0..ids.len())
-            .filter(|&i| alive[i])
-            .min_by_key(|&i| (instance.span(ids[i]).hi, ids[i]));
-        let Some(istar) = jstar else { break };
-        let wstar = weight[istar];
-        let span_star = instance.span(ids[istar]);
-        stack.push(istar);
-        for i in 0..ids.len() {
-            if !alive[i] || i == istar {
-                continue;
-            }
-            if instance.span(ids[i]).overlaps(span_star) {
-                weight[i] -= wstar * 2.0 * instance.demand(ids[i]) as f64 / c as f64;
-                if weight[i] <= POS {
-                    alive[i] = false;
-                }
-            }
-        }
-        weight[istar] = 0.0;
-        alive[istar] = false;
-    }
-    // Reverse maximal pass: add whenever feasibility (load ≤ c) survives.
-    let mut loads = vec![0u64; instance.num_edges()];
-    let mut chosen: Vec<TaskId> = Vec::new();
-    for &i in stack.iter().rev() {
-        let j = ids[i];
-        let t = instance.task(j);
-        if t.span.edges().all(|e| loads[e] + t.demand <= c) {
-            for e in t.span.edges() {
-                loads[e] += t.demand;
-            }
-            chosen.push(j);
-        }
-    }
-    chosen.reverse();
-    UfppSolution::new(chosen)
-}
-
-/// Baseline for UFPP with uniform capacity `c`: exact interval scheduling
-/// on wide tasks (`2d > c`), local-ratio on narrow tasks, best of the two.
-pub fn uniform_best_of(instance: &Instance, ids: &[TaskId], c: u64) -> UfppSolution {
-    let (wide, narrow): (Vec<TaskId>, Vec<TaskId>) =
-        ids.iter().partition(|&&j| 2 * instance.demand(j) > c);
-    let wide_sol = UfppSolution::new(weighted_interval_scheduling(instance, &wide));
-    let narrow_sol = narrow_local_ratio(instance, &narrow, c);
-    if wide_sol.weight(instance) >= narrow_sol.weight(instance) {
-        wide_sol
-    } else {
-        narrow_sol
-    }
 }
 
 #[cfg(test)]
@@ -250,61 +140,9 @@ mod tests {
     }
 
     #[test]
-    fn interval_scheduling_exact() {
-        let net = PathNetwork::uniform(6, 10).unwrap();
-        let tasks = vec![
-            Task::of(0, 3, 1, 4),
-            Task::of(2, 5, 1, 5),
-            Task::of(3, 6, 1, 3),
-            Task::of(0, 2, 1, 2),
-        ];
-        let inst = Instance::new(net, tasks).unwrap();
-        let sol = weighted_interval_scheduling(&inst, &inst.all_ids());
-        // Best: task 3 (w=2) + task 1 (w=5) = 7, vs task 0+2 = 7 — both
-        // optimal; verify weight only.
-        assert_eq!(inst.total_weight(&sol), 7);
-        // Pairwise disjoint.
-        for (a, &i) in sol.iter().enumerate() {
-            for &k in &sol[a + 1..] {
-                assert!(!inst.span(i).overlaps(inst.span(k)));
-            }
-        }
-    }
-
-    #[test]
-    fn uniform_best_of_is_feasible_and_decent() {
-        for seed in 0..15 {
-            let mut s = seed + 0x77u64;
-            let mut next = move || {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                s
-            };
-            let m = 6;
-            let c = 20u64;
-            let net = PathNetwork::uniform(m, c).unwrap();
-            let mut tasks = Vec::new();
-            for _ in 0..12 {
-                let lo = (next() % m as u64) as usize;
-                let hi = (lo + 1 + (next() % (m as u64 - lo as u64)) as usize).min(m);
-                tasks.push(Task::of(lo, hi, 1 + next() % c, 1 + next() % 20));
-            }
-            let inst = Instance::new(net, tasks).unwrap();
-            let sol = uniform_best_of(&inst, &inst.all_ids(), c);
-            sol.validate(&inst).unwrap();
-            let opt = brute_force_ufpp(&inst);
-            // Documented baseline ratio: 4 (= 1 wide + 3 narrow).
-            assert!(4 * sol.weight(&inst) >= opt, "seed {seed}");
-        }
-    }
-
-    #[test]
     fn empty_inputs() {
         let net = PathNetwork::uniform(3, 8).unwrap();
         let inst = Instance::new(net, vec![]).unwrap();
         assert!(strip_local_ratio(&inst, &[], 8).is_empty());
-        assert!(weighted_interval_scheduling(&inst, &[]).is_empty());
-        assert!(uniform_best_of(&inst, &[], 8).is_empty());
     }
 }

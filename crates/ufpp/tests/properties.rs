@@ -39,18 +39,6 @@ fn brute_force(inst: &Instance) -> u64 {
     best
 }
 
-/// The exact B&B equals subset brute force.
-#[test]
-fn exact_matches_bruteforce() {
-    for case in 0..CASES {
-        let mut rng = Rng64::seed_from_u64(0x0f99_0001 ^ case);
-        let inst = arb_instance(&mut rng);
-        let sol = ufpp::solve_exact(&inst, &inst.all_ids());
-        sol.validate(&inst).unwrap();
-        assert_eq!(sol.weight(&inst), brute_force(&inst), "case {case}");
-    }
-}
-
 /// The LP relaxation dominates the integral optimum.
 #[test]
 fn lp_dominates_integral() {
@@ -59,23 +47,6 @@ fn lp_dominates_integral() {
         let inst = arb_instance(&mut rng);
         let (_, lp) = ufpp::lp_upper_bound(&inst, &inst.all_ids());
         assert!(lp + 1e-6 >= brute_force(&inst) as f64, "case {case}");
-    }
-}
-
-/// Greedy baselines always return feasible solutions not beating OPT.
-#[test]
-fn greedy_feasible_and_bounded() {
-    for case in 0..CASES {
-        let mut rng = Rng64::seed_from_u64(0x0f99_0003 ^ case);
-        let inst = arb_instance(&mut rng);
-        let opt = brute_force(&inst);
-        for sol in [
-            ufpp::greedy_by_weight(&inst, &inst.all_ids()),
-            ufpp::greedy_by_density(&inst, &inst.all_ids()),
-        ] {
-            sol.validate(&inst).unwrap();
-            assert!(sol.weight(&inst) <= opt, "case {case}");
-        }
     }
 }
 
@@ -117,36 +88,5 @@ fn rounding_respects_bound() {
         .unwrap();
         r.solution.validate_packable(&inst, bound).unwrap();
         r.solution.validate(&inst).unwrap();
-    }
-}
-
-/// Weighted interval scheduling returns pairwise-disjoint spans and is
-/// optimal among such sets (checked by brute force over subsets).
-#[test]
-fn interval_scheduling_exactness() {
-    for case in 0..CASES {
-        let mut rng = Rng64::seed_from_u64(0x0f99_0006 ^ case);
-        let inst = arb_instance(&mut rng);
-        let sol = ufpp::local_ratio::weighted_interval_scheduling(&inst, &inst.all_ids());
-        for (i, &a) in sol.iter().enumerate() {
-            for &b in &sol[i + 1..] {
-                assert!(!inst.span(a).overlaps(inst.span(b)), "case {case}");
-            }
-        }
-        // Brute force over disjoint-span subsets.
-        let n = inst.num_tasks();
-        let mut best = 0u64;
-        'mask: for mask in 0u32..(1 << n) {
-            let sel: Vec<TaskId> = (0..n).filter(|&i| mask & (1 << i) != 0).collect();
-            for (i, &a) in sel.iter().enumerate() {
-                for &b in &sel[i + 1..] {
-                    if inst.span(a).overlaps(inst.span(b)) {
-                        continue 'mask;
-                    }
-                }
-            }
-            best = best.max(inst.total_weight(&sel));
-        }
-        assert_eq!(inst.total_weight(&sol), best, "case {case}");
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! 1. the **state-space search** over grounded insertion orders
 //!    (`sap_algs::exact` — works on any instance);
-//! 2. the paper's **Lemma 13 proper-pair DP** (`sap_algs::lemma13` —
-//!    the faithful transcription, poly-time for constant `L`);
-//! 3. the **Chen–Hassin–Tzur column DP** (`sap_algs::sapu` — SAP-U with
-//!    constant integer capacity, §1.1).
+//! 2. the paper's **Lemma 13 proper-pair DP** (`sap_bench::oracles::lemma13`
+//!    — the faithful transcription, poly-time for constant `L`);
+//! 3. the **Chen–Hassin–Tzur column DP** (`sap_bench::oracles::sapu` —
+//!    SAP-U with constant integer capacity, §1.1).
 //!
 //! Three algorithms, three completely different state spaces, one answer.
 //!
@@ -13,10 +13,9 @@
 
 use std::time::Instant;
 
+use sap_bench::oracles::{solve_lemma13_dp, solve_sapu_exact_dp, Lemma13Config};
 use storage_alloc::prelude::*;
-use storage_alloc::sap_algs::{
-    solve_exact_sap, solve_lemma13_dp, solve_sapu_exact_dp, ExactConfig, Lemma13Config,
-};
+use storage_alloc::sap_algs::{solve_exact_sap, ExactConfig};
 use storage_alloc::sap_gen::{generate, CapacityProfile, DemandRegime, GenConfig};
 
 fn main() -> Result<(), SapError> {

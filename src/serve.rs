@@ -921,11 +921,6 @@ impl ServeEngine {
         }
     }
 
-    /// Whether the observability aggregator is active for this engine.
-    pub fn obs_enabled(&self) -> bool {
-        self.obs.is_some()
-    }
-
     /// Emits a snapshot line if the batch counter has reached the next
     /// `--snapshot-every` boundary (and obs is enabled). The tick is
     /// the cumulative batch count, so the snapshot cadence — like every

@@ -138,7 +138,7 @@ fn theorem5_ring_ratio_vs_exact() {
         let inst = generate_ring(&cfg, seed + 400);
         let (sol, _) = sap_algs::solve_ring(&inst, &RingParams::default());
         sol.validate(&inst).unwrap();
-        let exact = sap_algs::ring::solve_ring_exact(&inst);
+        let exact = sap_bench::oracles::solve_ring_exact(&inst);
         let w = sol.weight(&inst);
         let o = exact.weight(&inst);
         assert!(11 * w >= o, "seed {seed}: ring {w} vs opt {o}");
@@ -179,7 +179,7 @@ fn exact_sap_equals_knapsack_on_single_edge() {
         .collect();
     let inst = Instance::new(net, tasks).unwrap();
     let sap = opt(&inst);
-    let ufpp_sol = ufpp::solve_exact(&inst, &inst.all_ids());
+    let ufpp_sol = sap_bench::oracles::ufpp::solve_exact(&inst, &inst.all_ids());
     assert_eq!(sap, ufpp_sol.weight(&inst));
 }
 
