@@ -19,7 +19,6 @@ use lp_solver::SimplexOptions;
 use sap_core::budget::Budget;
 use sap_core::{parallel_map, Instance, Ratio, SapSolution, TaskId};
 
-use crate::baselines::greedy_sap_best;
 use crate::driver::try_solve;
 use crate::medium::MediumParams;
 use crate::small::SmallAlgo;
@@ -73,13 +72,7 @@ impl SapParams {
 /// ([`crate::driver::try_solve`]) under an unlimited budget, without its
 /// report.
 pub fn solve(instance: &Instance, ids: &[TaskId], params: &SapParams) -> SapSolution {
-    // An unlimited budget cannot trip and the driver's terminal greedy
-    // stage cannot fail, so the Err arm is dead; greedy keeps this total
-    // without a panic path.
-    let sol = match try_solve(instance, ids, params, &Budget::unlimited()) {
-        Ok((sol, _)) => sol,
-        Err(_) => greedy_sap_best(instance, ids),
-    };
+    let (sol, _) = try_solve(instance, ids, params, &Budget::unlimited());
     debug_assert!(sol.validate(instance).is_ok());
     sol
 }
@@ -102,7 +95,7 @@ mod tests {
     use sap_core::{classify_by_size, PathNetwork, SolveReport, Task};
 
     fn solve_with_report(inst: &Instance, params: &SapParams) -> (SapSolution, SolveReport) {
-        try_solve(inst, &inst.all_ids(), params, &Budget::unlimited()).unwrap()
+        try_solve(inst, &inst.all_ids(), params, &Budget::unlimited())
     }
 
     fn arm_weight(report: &SolveReport, arm: &str) -> u64 {

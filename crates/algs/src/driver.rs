@@ -26,7 +26,7 @@
 //! yield byte-identical solutions *and* reports at any worker count.
 
 use sap_core::budget::{ArmOutcome, ArmReport, Budget, CheckpointClass, SolveReport, WorkProfile};
-use sap_core::error::{SapError, SapResult};
+use sap_core::error::SapError;
 use sap_core::{classify_by_size, ClassifiedTasks, Instance, SapSolution, TaskId};
 
 use crate::baselines::greedy_sap_best;
@@ -45,14 +45,13 @@ struct ArmRun {
 ///
 /// The result is always a feasible solution over `ids`: when an arm with
 /// tasks runs out of budget or panics, greedy first-fit over all ids
-/// joins the candidates, and greedy cannot fail. The `SapResult` wrapper
-/// is for signature stability; no current path returns `Err`.
+/// joins the candidates, and greedy cannot fail.
 pub fn try_solve(
     instance: &Instance,
     ids: &[TaskId],
     params: &SapParams,
     budget: &Budget,
-) -> SapResult<(SapSolution, SolveReport)> {
+) -> (SapSolution, SolveReport) {
     let classified = classify_restricted(instance, ids, params);
 
     // Each arm's child budget carries a telemetry handle for its own
@@ -245,7 +244,7 @@ pub fn try_solve(
         checkpoints,
     };
     debug_assert!(report.work_is_attributed(), "report loses work: {report:?}");
-    Ok((solution, report))
+    (solution, report)
 }
 
 /// Bumps the arm-phase counter matching `outcome` (no-op without a
@@ -271,10 +270,10 @@ pub fn try_solve_practical(
     ids: &[TaskId],
     params: &SapParams,
     budget: &Budget,
-) -> SapResult<(SapSolution, SolveReport)> {
-    let (sol, mut report) = try_solve(instance, ids, params, budget)?;
+) -> (SapSolution, SolveReport) {
+    let (sol, mut report) = try_solve(instance, ids, params, budget);
     if report.fallbacks.contains(&"greedy") {
-        return Ok((sol, report));
+        return (sol, report);
     }
     let greedy = {
         let _phase = budget.telemetry().span("greedy");
@@ -287,9 +286,9 @@ pub fn try_solve_practical(
         note_arm_outcome(&budget.telemetry().child("greedy"), ArmOutcome::Completed);
         report.winner = "greedy";
         report.weight = gw;
-        return Ok((greedy, report));
+        return (greedy, report);
     }
-    Ok((sol, report))
+    (sol, report)
 }
 
 /// The combined algorithm's three-way split, restricted to `ids`.
@@ -379,8 +378,7 @@ mod tests {
         for seed in 0..5 {
             let inst = mixed_instance(seed, 6, 30);
             let (sol, report) =
-                try_solve(&inst, &inst.all_ids(), &SapParams::default(), &Budget::unlimited())
-                    .unwrap();
+                try_solve(&inst, &inst.all_ids(), &SapParams::default(), &Budget::unlimited());
             sol.validate(&inst).unwrap();
             assert!(report.is_clean(), "seed {seed}");
             assert!(report.fallbacks.is_empty());
@@ -396,7 +394,7 @@ mod tests {
         let ids = inst.all_ids();
         let budget = Budget::unlimited().with_work_units(0);
         let (sol, report) =
-            try_solve(&inst, &ids, &SapParams::default(), &budget).unwrap();
+            try_solve(&inst, &ids, &SapParams::default(), &budget);
         sol.validate(&inst).unwrap();
         assert!(!sol.is_empty());
         assert_eq!(report.winner, "greedy");
@@ -415,7 +413,7 @@ mod tests {
         let budget = Budget::unlimited();
         budget.cancel();
         let (sol, report) =
-            try_solve(&inst, &ids, &SapParams::default(), &budget).unwrap();
+            try_solve(&inst, &ids, &SapParams::default(), &budget);
         sol.validate(&inst).unwrap();
         assert_eq!(report.winner, "greedy");
     }
@@ -430,8 +428,7 @@ mod tests {
                 &ids,
                 &SapParams::default(),
                 &Budget::unlimited(),
-            )
-            .unwrap();
+            );
             let gw = greedy_sap_best(&inst, &ids).weight(&inst);
             assert!(sol.weight(&inst) >= gw, "seed {seed}");
             assert_eq!(report.weight, sol.weight(&inst));
@@ -443,7 +440,7 @@ mod tests {
         let inst = mixed_instance(3, 5, 15);
         let ids = inst.all_ids();
         let (_, r1) =
-            try_solve(&inst, &ids, &SapParams::default(), &Budget::unlimited()).unwrap();
+            try_solve(&inst, &ids, &SapParams::default(), &Budget::unlimited());
         let json = r1.to_json_string();
         assert!(!json.contains('\n'));
         assert!(json.contains("\"winner\":"));

@@ -35,7 +35,7 @@ fn main() -> Result<(), SapError> {
     let params = SapParams::default();
     let ids = instance.all_ids();
     let (solution, report) =
-        storage_alloc::sap_algs::try_solve(&instance, &ids, &params, &Budget::unlimited())?;
+        storage_alloc::sap_algs::try_solve(&instance, &ids, &params, &Budget::unlimited());
     solution.validate(&instance)?;
     let classified = classify_by_size(&instance, params.delta_small, params.delta_large);
 

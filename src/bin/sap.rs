@@ -9,10 +9,10 @@
 //! sap generate --edges 8 --tasks 6 --seed 1 | tr -d '\n' | sap serve
 //! ```
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::process::ExitCode;
 
-use storage_alloc::net::{BatchPump, Framed, LineFramer};
+use storage_alloc::net::{BatchPump, ConnTotals};
 use storage_alloc::serve::{ServeAlgo, ServeEngine, ServeOptions};
 
 use storage_alloc::io::{
@@ -147,14 +147,12 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
     let mut report = None;
     let solution = match algo {
         "combined" => {
-            let (sol, r) = sap_algs::try_solve(&instance, &ids, &params, &budget)
-                .map_err(|e| e.to_string())?;
+            let (sol, r) = sap_algs::try_solve(&instance, &ids, &params, &budget);
             report = Some(r);
             sol
         }
         "practical" => {
-            let (sol, r) = sap_algs::try_solve_practical(&instance, &ids, &params, &budget)
-                .map_err(|e| e.to_string())?;
+            let (sol, r) = sap_algs::try_solve_practical(&instance, &ids, &params, &budget);
             report = Some(r);
             sol
         }
@@ -463,64 +461,33 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         None => None,
     };
 
-    // Stdin mode drives the same framer → pump path as every network
-    // connection, so CRLF/final-line/oversized handling and batch
-    // boundaries (blank line, --batch, EOF — never read timing) are
-    // identical in both modes.
-    let engine = ServeEngine::new(opts);
-    let mut pump = BatchPump::new(engine, batch_size);
-    let mut framer = LineFramer::new(max_line_bytes);
-    let stdin = std::io::stdin();
-    let mut stdout = std::io::stdout().lock();
-    // `None` is end of input: the pump flushes its last partial batch.
-    let drain = |pump: &mut BatchPump,
-                     item: Option<Framed>,
-                     stdout: &mut dyn Write,
-                     snap_file: &mut Option<std::fs::File>|
-     -> Result<(), String> {
-        let before = pump.engine().stats.batches;
-        let flushed = match item {
-            Some(item) => pump.feed(item),
-            None => pump.finish(),
-        };
-        let Some(responses) = flushed else {
-            return Ok(());
-        };
-        for response in responses {
-            writeln!(stdout, "{response}").map_err(|e| format!("stdout: {e}"))?;
-        }
-        // Snapshot cadence ticks on processed batches; a flush that
-        // never reached the engine (only oversized junk) doesn't tick.
-        if pump.engine().stats.batches != before {
-            if let Some(snapshot) = pump.engine_mut().maybe_snapshot() {
-                if snapshots_on_stdout {
-                    writeln!(stdout, "{snapshot}").map_err(|e| format!("stdout: {e}"))?;
-                }
-                if let Some(f) = snap_file {
-                    writeln!(f, "{snapshot}").map_err(|e| format!("snapshot file: {e}"))?;
-                }
+    // Stdin mode runs the same serve loop as every network connection;
+    // its flush hook adds the `--snapshot-every` lines. The cadence ticks
+    // on processed batches, so a flush of only oversized junk doesn't
+    // tick.
+    let mut pump = BatchPump::new(ServeEngine::new(opts), batch_size);
+    let on_flush = |engine: &mut ServeEngine, lines: &mut Vec<String>| -> std::io::Result<()> {
+        if let Some(snapshot) = engine.maybe_snapshot() {
+            if let Some(f) = &mut snap_file {
+                writeln!(f, "{snapshot}")
+                    .map_err(|e| std::io::Error::new(e.kind(), format!("snapshot file: {e}")))?;
+            }
+            if snapshots_on_stdout {
+                lines.push(snapshot);
             }
         }
-        stdout.flush().map_err(|e| format!("stdout: {e}"))?;
         Ok(())
     };
-    let mut reader = stdin.lock();
-    let mut chunk = [0u8; 8192];
-    loop {
-        let n = reader.read(&mut chunk).map_err(|e| format!("stdin: {e}"))?;
-        if n == 0 {
-            break;
-        }
-        for item in framer.push(&chunk[..n]) {
-            drain(&mut pump, Some(item), &mut stdout, &mut snap_file)?;
-        }
-    }
-    if let Some(item) = framer.finish() {
-        drain(&mut pump, Some(item), &mut stdout, &mut snap_file)?;
-    }
-    drain(&mut pump, None, &mut stdout, &mut snap_file)?;
+    storage_alloc::net::serve_conn(
+        std::io::stdin().lock(),
+        std::io::stdout().lock(),
+        &mut pump,
+        max_line_bytes,
+        &mut ConnTotals::default(),
+        on_flush,
+    )
+    .map_err(|e| format!("stdio: {e}"))?;
     let mut engine = pump.into_engine();
-    drop(stdout);
     eprintln!("{}", engine.summary_line());
     if telemetry_mode.is_some() {
         let recorder = storage_alloc::sap_core::Recorder::new();

@@ -30,9 +30,9 @@
 //! * [`try_solve_sap`] / [`try_solve_sap_practical`] — the same under a
 //!   cooperative [`sap_core::Budget`], with a [`sap_core::SolveReport`]
 //!   describing per-arm outcomes and any degradation;
-//! * [`sap_algs::solve_exact_sap`] — exact reference solver (plus the
-//!   paper's Lemma-13 DP and the Chen et al. SAP-U column DP as
-//!   independent exact cross-checks).
+//! * [`sap_algs::solve_exact_sap`] — exact reference solver. The paper's
+//!   Lemma-13 DP and the Chen et al. SAP-U column DP, its independent
+//!   exact cross-checks, live in the `sap-bench` experiment crate.
 //!
 //! Every `sap_algs` solver takes a cooperative [`sap_core::Budget`];
 //! pass `Budget::unlimited()` to run one without a limit.
@@ -84,13 +84,8 @@ use sap_core::{Budget, Instance, SapSolution, SolveReport};
 /// (Theorem 4) under default parameters (`δ = 1/16`, `δ′ = ½`, `β = ¼`,
 /// `ℓ = 4`, LP-rounding for small tasks).
 pub fn solve_sap(instance: &Instance) -> SapSolution {
-    // An unlimited budget cannot trip and the driver's terminal greedy
-    // stage cannot fail, so the Err arm is dead; greedy keeps this total
-    // without a panic path.
-    match try_solve_sap(instance, &Budget::unlimited()) {
-        Ok((sol, _)) => sol,
-        Err(_) => sap_algs::baselines::greedy_sap_best(instance, &instance.all_ids()),
-    }
+    let ids = instance.all_ids();
+    sap_algs::try_solve(instance, &ids, &sap_algs::SapParams::default(), &Budget::unlimited()).0
 }
 
 /// Budgeted variant of [`solve_sap`]: runs the combined algorithm under a
@@ -100,11 +95,12 @@ pub fn solve_sap(instance: &Instance) -> SapSolution {
 /// The solution is always feasible: when an arm with tasks runs out of
 /// budget or panics, greedy first-fit over all tasks joins the
 /// candidates, and the heaviest answer wins (see [`sap_algs::driver`]).
+/// It never returns `Err`.
 pub fn try_solve_sap(
     instance: &Instance,
     budget: &Budget,
 ) -> SapResult<(SapSolution, SolveReport)> {
-    sap_algs::try_solve(instance, &instance.all_ids(), &sap_algs::SapParams::default(), budget)
+    Ok(sap_algs::try_solve(instance, &instance.all_ids(), &sap_algs::SapParams::default(), budget))
 }
 
 /// Solves SAP on a ring with the `(10+ε)`-approximation (Theorem 5)
@@ -120,25 +116,20 @@ pub fn solve_sap_ring(instance: &RingInstance) -> RingSolution {
 /// greedy's unguaranteed-but-strong solutions are kept (see the `BL`
 /// experiment in EXPERIMENTS.md for why both matter).
 pub fn solve_sap_practical(instance: &Instance) -> SapSolution {
-    match try_solve_sap_practical(instance, &Budget::unlimited()) {
-        Ok((sol, _)) => sol,
-        Err(_) => sap_algs::baselines::greedy_sap_best(instance, &instance.all_ids()),
-    }
+    let ids = instance.all_ids();
+    let params = sap_algs::SapParams::default();
+    sap_algs::try_solve_practical(instance, &ids, &params, &Budget::unlimited()).0
 }
 
 /// Budgeted variant of [`solve_sap_practical`], returning the
 /// [`SolveReport`] alongside the solution (a greedy takeover is recorded
-/// as a `"greedy"` winner).
+/// as a `"greedy"` winner). It never returns `Err`.
 pub fn try_solve_sap_practical(
     instance: &Instance,
     budget: &Budget,
 ) -> SapResult<(SapSolution, SolveReport)> {
-    sap_algs::try_solve_practical(
-        instance,
-        &instance.all_ids(),
-        &sap_algs::SapParams::default(),
-        budget,
-    )
+    let params = sap_algs::SapParams::default();
+    Ok(sap_algs::try_solve_practical(instance, &instance.all_ids(), &params, budget))
 }
 
 /// Commonly used items.

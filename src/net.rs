@@ -389,7 +389,7 @@ impl NetSummary {
 /// Byte/response accounting for one connection (framing-layer facts the
 /// engine doesn't see).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct ConnTotals {
+pub struct ConnTotals {
     responses: u64,
     bytes_in: u64,
     bytes_out: u64,
@@ -426,21 +426,53 @@ fn write_flush<W: Write>(
     Ok(())
 }
 
-/// Serves one established connection to completion: frame bytes, pump
-/// batches, write responses. A transport error ends the connection
-/// (a partial line is dropped); `totals` and the pump's engine keep
-/// what was served up to that point.
-fn serve_conn<S: Read + Write>(
-    mut stream: S,
+/// Serves one stream to completion: read `input`, frame its bytes, pump
+/// batches, write each flush to `output` with [`write_flush`]'s single
+/// `write_all`. Stdin mode and every network connection run this one
+/// loop, so CRLF/final-line/oversized handling and batch boundaries
+/// (blank line, `--batch`, EOF — never read timing) are identical in
+/// both.
+///
+/// After a flush whose batch reached the engine (not one of only
+/// oversized lines), `on_flush` sees the engine and the flush's lines
+/// before they are written, and may append lines of its own that go out
+/// in the same write (stdin mode's `--snapshot-every` lines); network
+/// connections pass a no-op.
+///
+/// A transport error ends the stream (a partial line is dropped);
+/// `totals` and the pump's engine keep what was served up to that point.
+pub fn serve_conn<R: Read, W: Write>(
+    mut input: R,
+    mut output: W,
     pump: &mut BatchPump,
     max_line_bytes: usize,
     totals: &mut ConnTotals,
+    mut on_flush: impl FnMut(&mut ServeEngine, &mut Vec<String>) -> std::io::Result<()>,
 ) -> std::io::Result<()> {
     let mut framer = LineFramer::new(max_line_bytes);
     let mut buf = Vec::new();
+    // `None` is end of input: the pump flushes its last partial batch.
+    let mut step = |pump: &mut BatchPump,
+                    totals: &mut ConnTotals,
+                    item: Option<Framed>|
+     -> std::io::Result<()> {
+        let batches = pump.engine().stats.batches;
+        let flushed = match item {
+            Some(item) => pump.feed(item),
+            None => pump.finish(),
+        };
+        let Some(mut lines) = flushed else {
+            return Ok(());
+        };
+        if pump.engine().stats.batches != batches {
+            on_flush(pump.engine_mut(), &mut lines)?;
+        }
+        write_flush(&mut output, &mut buf, &lines, totals)?;
+        output.flush()
+    };
     let mut chunk = [0u8; 8192];
     loop {
-        let n = match stream.read(&mut chunk) {
+        let n = match input.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => n,
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -448,19 +480,14 @@ fn serve_conn<S: Read + Write>(
         };
         totals.bytes_in = totals.bytes_in.saturating_add(n as u64);
         for item in framer.push(&chunk[..n]) {
-            if let Some(responses) = pump.feed(item) {
-                write_flush(&mut stream, &mut buf, &responses, totals)?;
-            }
+            step(pump, totals, Some(item))?;
         }
     }
     // EOF: a final unterminated line still gets an answer.
-    if let Some(responses) = framer.finish().and_then(|item| pump.feed(item)) {
-        write_flush(&mut stream, &mut buf, &responses, totals)?;
+    if let Some(item) = framer.finish() {
+        step(pump, totals, Some(item))?;
     }
-    if let Some(responses) = pump.finish() {
-        write_flush(&mut stream, &mut buf, &responses, totals)?;
-    }
-    Ok(())
+    step(pump, totals, None)
 }
 
 /// Runs the network service: bind, accept, one thread per connection,
@@ -501,7 +528,9 @@ pub fn run_server(opts: &ServeOptions, net: &NetOptions) -> Result<NetSummary, S
             let mut pump = BatchPump::new(engine, batch_size);
             let mut totals = ConnTotals::default();
             // A transport error ends only this connection, quietly.
-            let _ = serve_conn(stream, &mut pump, max_line_bytes, &mut totals);
+            let _ = serve_conn(&stream, &stream, &mut pump, max_line_bytes, &mut totals, |_, _| {
+                Ok(())
+            });
             lock_summary(&conn_summary).absorb(&totals, &pump.engine().stats);
         }));
         if net.max_conns.is_some_and(|max| accepted >= max) {
@@ -697,11 +726,9 @@ mod tests {
         }
     }
 
-    /// A scripted connection: reads replay `reads` in order, then EOF;
-    /// writes go to a [`Counting`] sink.
+    /// A scripted input: reads replay `reads` in order, then EOF.
     struct Scripted {
         reads: std::collections::VecDeque<std::io::Result<Vec<u8>>>,
-        out: Counting,
     }
 
     impl Read for Scripted {
@@ -717,25 +744,19 @@ mod tests {
         }
     }
 
-    impl Write for Scripted {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.out.write(buf)
-        }
-
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    /// Runs `reads` through `serve_conn` on a fresh engine.
+    /// Runs `reads` through `serve_conn` on a fresh engine, writing to a
+    /// [`Counting`] sink.
     fn run_scripted(
         reads: Vec<std::io::Result<Vec<u8>>>,
     ) -> (std::io::Result<()>, Counting, ConnTotals) {
         let mut pump = BatchPump::new(ServeEngine::new(ServeOptions::default()), 64);
-        let mut conn = Scripted { reads: reads.into(), out: Counting::default() };
+        let input = Scripted { reads: reads.into() };
+        let mut out = Counting::default();
         let mut totals = ConnTotals::default();
-        let res = serve_conn(&mut conn, &mut pump, DEFAULT_MAX_LINE_BYTES, &mut totals);
-        (res, conn.out, totals)
+        let no_hook = |_: &mut ServeEngine, _: &mut Vec<String>| Ok(());
+        let res =
+            serve_conn(input, &mut out, &mut pump, DEFAULT_MAX_LINE_BYTES, &mut totals, no_hook);
+        (res, out, totals)
     }
 
     const INST: &str =

@@ -448,8 +448,7 @@ fn solve_request(req: &Request, want_span: bool) -> Result<SolveOk, String> {
     let (solution, report) = match req.algo {
         ServeAlgo::Combined => sap_algs::try_solve(&instance, &ids, &params, &budget),
         ServeAlgo::Practical => sap_algs::try_solve_practical(&instance, &ids, &params, &budget),
-    }
-    .map_err(|e| format!("solve failed: {e}"))?;
+    };
     let snapshot = recorder.snapshot();
     let payload = Json::Object(vec![
         ("v".into(), Json::UInt(SERVE_SCHEMA_VERSION)),

@@ -81,7 +81,7 @@ fn degradation_is_identical_across_worker_counts() {
                 };
                 let budget = Budget::unlimited().with_work_units(limit);
                 let (sol, report) =
-                    storage_alloc::sap_algs::try_solve(&inst, &ids, &params, &budget).unwrap();
+                    storage_alloc::sap_algs::try_solve(&inst, &ids, &params, &budget);
                 sol.validate(&inst).unwrap();
                 (sol, report.to_json_string())
             })
@@ -146,7 +146,7 @@ fn starved_lp_routes_small_arm_to_greedy_and_reports_lp_non_optimal() {
         ..Default::default()
     };
     let (sol, report) =
-        storage_alloc::sap_algs::try_solve(&inst, &ids, &params, &Budget::unlimited()).unwrap();
+        storage_alloc::sap_algs::try_solve(&inst, &ids, &params, &Budget::unlimited());
     sol.validate(&inst).unwrap();
     let small = report.arm("small").expect("small arm ran");
     assert_eq!(small.outcome, ArmOutcome::LpNonOptimal, "{report:?}");

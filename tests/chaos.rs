@@ -30,7 +30,7 @@ fn workload(seed: u64) -> Instance {
 fn check(inst: &Instance, plan: FaultPlan) -> storage_alloc::sap_core::SolveReport {
     let budget = Budget::unlimited().with_fault_plan(plan);
     let (sol, report) =
-        try_solve(inst, &inst.all_ids(), &SapParams::default(), &budget).unwrap();
+        try_solve(inst, &inst.all_ids(), &SapParams::default(), &budget);
     sol.validate(inst).unwrap_or_else(|e| panic!("{plan:?}: infeasible output: {e}"));
     assert_eq!(report.weight, sol.weight(inst), "{plan:?}: report weight mismatch");
     assert!(
@@ -126,7 +126,7 @@ fn injected_refactor_failures_degrade_the_small_arm() {
     let budget =
         Budget::unlimited().with_fault_plan(plan).with_telemetry(rec.handle());
     let (sol, report) =
-        try_solve(&inst, &inst.all_ids(), &SapParams::default(), &budget).unwrap();
+        try_solve(&inst, &inst.all_ids(), &SapParams::default(), &budget);
     sol.validate(&inst).unwrap();
     let small = report.arm("small").unwrap();
     assert_eq!(small.outcome, ArmOutcome::LpNonOptimal, "{report:?}");

@@ -155,7 +155,7 @@ mod report_integrity {
             let plan = FaultPlan { panic_worker: Some(idx), ..Default::default() };
             let budget = Budget::unlimited().with_fault_plan(plan);
             let (sol, report) =
-                try_solve(&inst, &inst.all_ids(), &SapParams::default(), &budget).unwrap();
+                try_solve(&inst, &inst.all_ids(), &SapParams::default(), &budget);
             sol.validate(&inst).unwrap();
             let arm = report.arm(["small", "medium", "large"][idx]).unwrap();
             assert_eq!(arm.outcome, ArmOutcome::Panicked, "worker {idx}: {report:?}");
@@ -174,7 +174,7 @@ mod report_integrity {
         };
         let budget = Budget::unlimited().with_fault_plan(plan);
         let (sol, report) =
-            try_solve(&inst, &inst.all_ids(), &SapParams::default(), &budget).unwrap();
+            try_solve(&inst, &inst.all_ids(), &SapParams::default(), &budget);
         sol.validate(&inst).unwrap();
         let medium = report.arm("medium").unwrap();
         assert_eq!(medium.outcome, ArmOutcome::BudgetExhausted, "{report:?}");
@@ -197,7 +197,7 @@ mod report_integrity {
                 .with_fault_plan(plan)
                 .with_telemetry(rec.handle());
             let (sol, report) =
-                try_solve(&inst, &inst.all_ids(), &SapParams::default(), &budget).unwrap();
+                try_solve(&inst, &inst.all_ids(), &SapParams::default(), &budget);
             sol.validate(&inst).unwrap();
             assert!(report.work_is_attributed(), "worker {idx}: {report:?}");
             let arm = ["small", "medium", "large"][idx];
@@ -224,7 +224,7 @@ mod report_integrity {
         };
         let budget = Budget::unlimited().with_fault_plan(plan);
         let (sol, report) =
-            try_solve(&inst, &inst.all_ids(), &SapParams::default(), &budget).unwrap();
+            try_solve(&inst, &inst.all_ids(), &SapParams::default(), &budget);
         sol.validate(&inst).unwrap();
         assert!(report.work_is_attributed(), "{report:?}");
         let medium = report.arm("medium").unwrap();
@@ -257,7 +257,7 @@ mod report_integrity {
         let plan = FaultPlan { fail_lp_solve: Some(1), ..Default::default() };
         let budget = Budget::unlimited().with_fault_plan(plan);
         let (sol, report) =
-            try_solve(&inst, &inst.all_ids(), &SapParams::default(), &budget).unwrap();
+            try_solve(&inst, &inst.all_ids(), &SapParams::default(), &budget);
         sol.validate(&inst).unwrap();
         let small = report.arm("small").unwrap();
         assert_eq!(small.outcome, ArmOutcome::LpNonOptimal, "{report:?}");

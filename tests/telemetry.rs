@@ -130,7 +130,7 @@ fn worker_fanout_exports_byte_identical_telemetry() {
             let budget = Budget::unlimited().with_telemetry(rec.handle());
             let params = storage_alloc::sap_algs::SapParams { workers, ..Default::default() };
             let (sol, report) =
-                storage_alloc::sap_algs::try_solve(inst, &ids, &params, &budget).unwrap();
+                storage_alloc::sap_algs::try_solve(inst, &ids, &params, &budget);
             sol.validate(inst).unwrap();
             let rep_json = report.to_json_string();
             let tele_json = rec.to_json_string();
