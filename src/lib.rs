@@ -84,8 +84,7 @@ use sap_core::{Budget, Instance, SapSolution, SolveReport};
 /// (Theorem 4) under default parameters (`δ = 1/16`, `δ′ = ½`, `β = ¼`,
 /// `ℓ = 4`, LP-rounding for small tasks).
 pub fn solve_sap(instance: &Instance) -> SapSolution {
-    let ids = instance.all_ids();
-    sap_algs::try_solve(instance, &ids, &sap_algs::SapParams::default(), &Budget::unlimited()).0
+    sap_algs::solve(instance, &instance.all_ids(), &sap_algs::SapParams::default())
 }
 
 /// Budgeted variant of [`solve_sap`]: runs the combined algorithm under a

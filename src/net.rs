@@ -427,7 +427,7 @@ fn write_flush<W: Write>(
 }
 
 /// Serves one stream to completion: read `input`, frame its bytes, pump
-/// batches, write each flush to `output` with [`write_flush`]'s single
+/// batches, write each flush to `output` in `write_flush`'s single
 /// `write_all`. Stdin mode and every network connection run this one
 /// loop, so CRLF/final-line/oversized handling and batch boundaries
 /// (blank line, `--batch`, EOF — never read timing) are identical in
